@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     NotAFrame,
     NotUnitary,
     ShapeError,
@@ -42,7 +43,19 @@ def _coerce_matrix(matrix) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {m.ndim}-D data")
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-    return m.astype(dtype)
+    m = m.astype(dtype)
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite numbers")
+    return m
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple[int, int],
+              field: str) -> np.ndarray:
+    """Standard Gaussian matrix; complex entries have E|z|^2 = 1."""
+    if field == COMPLEX:
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return rng.standard_normal(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +277,7 @@ class DualFamily:
         return l
 
     def random_param(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        n, c = self.param_shape
-        if self.frame.field == COMPLEX:
-            raw = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
-            return scale * raw / np.sqrt(2.0)
-        return scale * rng.standard_normal((n, c))
+        return scale * _gaussian(rng, self.param_shape, self.frame.field)
 
 
 def dual_family(frame: Frame) -> DualFamily:

@@ -20,6 +20,7 @@ from .core import (
     REAL,
     DualFamily,
     Frame,
+    _gaussian,
     cross_gramian,
     dual_family,
     is_dual,
@@ -29,6 +30,8 @@ from .potentials import max_offdiagonal, welch_constant
 
 # Conjectured coherence floor is tested with this slack.
 VIOLATION_TOL = 1e-9
+# Harness work arrays are capped at this many bytes per chunk.
+HARNESS_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,14 +363,19 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
 def _random_frame_matrix(rng: np.random.Generator, n: int, k: int,
                          field: str) -> np.ndarray:
     while True:
-        if field == COMPLEX:
-            m = (rng.standard_normal((n, k))
-                 + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
-        else:
-            m = rng.standard_normal((n, k))
+        m = _gaussian(rng, (n, k), field)
         s = np.linalg.svd(m, compute_uv=False)
         if s[-1] > RANK_RTOL * s[0]:
             return m
+
+
+def _chunk_trials(n: int, k: int, field: str) -> int:
+    """Most trials one chunk may hold within HARNESS_CHUNK_BYTES."""
+    itemsize = 16 if field == COMPLEX else 8
+    # about four n x k arrays (frames, canonical duals, duals and a
+    # temporary) and four k x k (vh, Gramians and their squared magnitudes)
+    per_trial = itemsize * (4 * n * k + 4 * k * k)
+    return max(1, HARNESS_CHUNK_BYTES // per_trial)
 
 
 def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
@@ -377,23 +385,32 @@ def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
     dtype = np.complex128 if field == COMPLEX else np.float64
     frames = np.empty((count, n, k), dtype=dtype)
     params = np.zeros((count, n, k - n), dtype=dtype)
+    draw_params = k > n and param_scale != 0.0
+
+    def draw(idx: int, rng: np.random.Generator, frame: np.ndarray) -> None:
+        frames[idx] = frame
+        if draw_params:
+            params[idx] = param_scale * _gaussian(rng, (n, k - n), field)
+
     for idx, t in enumerate(range(t0, t1)):
         rng = np.random.default_rng((seed, t))
-        if frame_factory is not None:
-            frames[idx] = frame_factory(rng, n, k)
-        else:
-            frames[idx] = _random_frame_matrix(rng, n, k, field)
-        if k > n and param_scale != 0.0:
-            if field == COMPLEX:
-                raw = (rng.standard_normal((n, k - n))
-                       + 1j * rng.standard_normal((n, k - n))) / np.sqrt(2.0)
-            else:
-                raw = rng.standard_normal((n, k - n))
-            params[idx] = param_scale * raw
+        draw(idx, rng, frame_factory(rng, n, k) if frame_factory is not None
+             else _gaussian(rng, (n, k), field))
+    # One stacked SVD serves the rank check and the null bases.
+    sigma, vh = np.linalg.svd(frames, full_matrices=True)[1:]
+    if frame_factory is None:
+        # Trials that fail the check, or pass it by less than a factor 2,
+        # are drawn again the sequential way, whose single-matrix check
+        # decides them; so a last-bit difference between the two SVDs
+        # cannot change any trial.
+        suspect = sigma[:, -1] <= 2.0 * RANK_RTOL * sigma[:, 0]
+        for idx in np.nonzero(suspect)[0]:
+            rng = np.random.default_rng((seed, t0 + int(idx)))
+            draw(idx, rng, _random_frame_matrix(rng, n, k, field))
+            vh[idx] = np.linalg.svd(frames[idx], full_matrices=True)[2]
     ops = frames @ _conj_t(frames)
     canon = np.linalg.solve(ops, frames)
     if k > n:
-        vh = np.linalg.svd(frames, full_matrices=True)[2]
         duals = canon + params @ vh[:, n:, :]
     else:
         duals = canon
@@ -432,6 +449,8 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
 
     Each trial owns a generator derived from (seed, trial index), so the
     outcome is reproducible and independent of chunking or thread count.
+    Trials run in chunks whose arrays take about HARNESS_CHUNK_BYTES at
+    most, so memory does not grow with ``trials``.
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
     off-diagonal Gramian energy, the branch the floor argument leaves open.
     For k = n the floor is zero and every trial passes trivially
@@ -443,6 +462,7 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
         raise DomainError("need at least one trial")
     workers = max(1, int(threads)) if threads else 1
     chunk = trials if workers == 1 else max(64, -(-trials // (workers * 4)))
+    chunk = min(chunk, _chunk_trials(n, k, field))
     spans = [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
     args = [(n, k, t0, t1, seed, param_scale, field, frame_factory,
              max_counterexamples) for t0, t1 in spans]

@@ -31,16 +31,20 @@ class BasisAdjustedWarning(UserWarning):
     """A stored subspace basis needed re-orthonormalization on load."""
 
 
+# Exact types, so that JSON true/false (bool subclasses int) are rejected.
+_NUMBER_TYPES = (float, int)
+
+
 def _parse_entry(entry, field: str, where: str):
     if field == COMPLEX:
-        if isinstance(entry, (int, float)):
+        if type(entry) in _NUMBER_TYPES:
             return complex(entry)
         if (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)):
+                and all(type(x) in _NUMBER_TYPES for x in entry)):
             return complex(entry[0], entry[1])
         raise FrameFileError(
             f"{where}: complex entries must be numbers or [re, im] pairs")
-    if isinstance(entry, (int, float)):
+    if type(entry) in _NUMBER_TYPES:
         return float(entry)
     raise FrameFileError(f"{where}: real entries must be plain numbers")
 
@@ -67,9 +71,12 @@ def _payload_field(payload: dict) -> str:
 
 
 def _load_json(path) -> dict:
+    def reject_constant(name: str):
+        raise FrameFileError(f"{path}: non-finite number {name}")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):

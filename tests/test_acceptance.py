@@ -279,7 +279,7 @@ def test_criterion_4_floor_probe():
             "coherence-floor probe found genuine violations (reported as a "
             f"finding, not a failure): {lines}. Counterexamples verify as "
             "exact dual pairs with coherence strictly below the floor.",
-            stacklevel=2)
+            stacklevel=1)
 
 
 def test_criterion_5_dual_family_oracle(trident):

@@ -285,6 +285,19 @@ class TestDiagnosticsAndExitCodes:
         assert code == 2
         assert err.startswith("error: NotAFrame:")
 
+    @pytest.mark.parametrize("entry,error", [
+        ("NaN", "FrameFileError"), ("Infinity", "FrameFileError"),
+        ("true", "FrameFileError"), ("1e999", "DomainError")])
+    def test_non_numeric_entries(self, capsys, tmp_path, entry, error):
+        bad = tmp_path / "odd.json"
+        bad.write_text('{"field": "real", "n": 2, "k": 3, "vectors": '
+                       f'[[{entry}, 1.0], [1.0, 1.0], [-1.0, 1.0]]}}')
+        code, out, err = invoke(capsys, "potential", "--frame", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {error}:")
+        assert err.count("\n") == 1
+
     def test_usage_errors(self, capsys):
         assert invoke(capsys, )[0] == 2
         assert invoke(capsys, "potential")[0] == 2

@@ -19,6 +19,7 @@ from fpl.core import (
     make_frame,
 )
 from fpl.errors import (
+    DomainError,
     NotAFrame,
     NotUnitary,
     ShapeError,
@@ -58,6 +59,12 @@ class TestConstruction:
     def test_rejects_rank_deficient_vectors(self):
         with pytest.raises(NotAFrame):
             make_frame([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(1.0, np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError):
+            make_frame([[bad, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
     def test_rank_check_is_relative_to_scale(self):
         m = 1e-12 * np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])

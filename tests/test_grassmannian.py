@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fpl import grassmannian
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
 from fpl.errors import DomainError, NotADual
 from fpl.grassmannian import (
+    VIOLATION_TOL,
     SolverConfig,
     conjecture_harness,
     exclusivity_probe,
@@ -171,6 +173,119 @@ class TestGap:
         result = minimize_mu(trident)
         with pytest.raises(NotADual):
             grassmannian_gap(trident, trident, result)
+
+
+def _gaussian_draw(rng, shape, field):
+    if field == "complex":
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return rng.standard_normal(shape)
+
+
+def _replay_harness(n, k, trials, seed, param_scale=1.0, field="real",
+                    frame_factory=None, max_counterexamples=5):
+    """The harness outcome computed one trial at a time: each trial's own
+    generator yields a frame, redrawn while it fails the rank check, and
+    then the trial's dual parameters."""
+    rtol = grassmannian.RANK_RTOL
+    floor = welch_constant(n, k) if k > n else 0.0
+    violations = case_a = 0
+    min_ratio = np.inf
+    examples = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        if frame_factory is not None:
+            f = frame_factory(rng, n, k)
+        else:
+            while True:
+                f = _gaussian_draw(rng, (n, k), field)
+                s = np.linalg.svd(f, compute_uv=False)
+                if s[-1] > rtol * s[0]:
+                    break
+        dual = np.linalg.solve(f @ f.conj().T, f)
+        if k > n:
+            params = np.zeros((n, k - n))
+            if param_scale != 0.0:
+                params = param_scale * _gaussian_draw(rng, (n, k - n), field)
+            vh = np.linalg.svd(f, full_matrices=True)[2]
+            dual = dual + params @ vh[n:, :]
+        gram = f.conj().T @ dual
+        off_sq = np.abs(gram[~np.eye(k, dtype=bool)]) ** 2
+        case_a += float(n) > n * n / k + off_sq.sum()
+        if k > n:
+            mu = np.sqrt(off_sq.max())
+            min_ratio = min(min_ratio, mu / floor)
+            if mu < floor - VIOLATION_TOL:
+                violations += 1
+                if len(examples) < max_counterexamples:
+                    examples.append((f, dual))
+    return violations, case_a, min_ratio, examples
+
+
+def _assert_same_outcome(summary, violations, case_a, min_ratio, examples):
+    assert (summary.violations, summary.case_a_count) == (violations, case_a)
+    assert summary.min_ratio == min_ratio
+    assert len(summary.counterexamples) == len(examples)
+    for (fm, hm), (f, h) in zip(summary.counterexamples, examples):
+        assert fm.tobytes() == f.tobytes()
+        assert hm.tobytes() == h.tobytes()
+
+
+def _uniform_frame(rng, n, k):
+    return rng.uniform(-1.0, 1.0, (n, k))
+
+
+REPLAY_CASES = [
+    (2, 3, "real", 1.0, None),
+    (3, 5, "complex", 1.0, None),
+    (3, 3, "real", 1.0, None),
+    (2, 2, "complex", 1.0, None),
+    (2, 4, "real", 0.0, None),
+    (2, 3, "complex", 0.0, None),
+    (2, 3, "real", 2.0, _uniform_frame),
+]
+
+
+class TestHarnessReplay:
+    """The batched harness against a trial-by-trial recomputation."""
+
+    @pytest.mark.parametrize("n,k,field,scale,factory", REPLAY_CASES)
+    def test_matches_sequential_draws(self, n, k, field, scale, factory):
+        summary = conjecture_harness(n, k, 300, seed=5, param_scale=scale,
+                                     field=field, frame_factory=factory)
+        _assert_same_outcome(summary, *_replay_harness(
+            n, k, 300, 5, scale, field, factory))
+
+    @pytest.mark.parametrize("n,k,field", [(2, 3, "real"), (3, 5, "complex"),
+                                           (3, 3, "real")])
+    def test_matches_sequential_draws_when_frames_are_redrawn(
+            self, monkeypatch, n, k, field):
+        # A loose rank threshold rejects many Gaussian frames, so many
+        # trials take the sequential redraw path and some pass it at once.
+        monkeypatch.setattr(grassmannian, "RANK_RTOL", 0.3)
+        redraws = []
+        original = grassmannian._random_frame_matrix
+
+        def counted(*args):
+            redraws.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(grassmannian, "_random_frame_matrix", counted)
+        summary = conjecture_harness(n, k, 300, seed=9, field=field)
+        assert 0 < len(redraws) < 300
+        _assert_same_outcome(summary, *_replay_harness(n, k, 300, 9,
+                                                       field=field))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunk_size_does_not_change_the_outcome(self, monkeypatch,
+                                                    threads):
+        whole = conjecture_harness(2, 3, 400, seed=0, threads=threads)
+        monkeypatch.setattr(grassmannian, "HARNESS_CHUNK_BYTES", 2000)
+        assert 1 < grassmannian._chunk_trials(2, 3, "real") < 10
+        chunked = conjecture_harness(2, 3, 400, seed=0, threads=threads)
+        assert whole.violations > 0
+        _assert_same_outcome(chunked, whole.violations, whole.case_a_count,
+                             whole.min_ratio, whole.counterexamples)
 
 
 class TestHarness:

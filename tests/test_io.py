@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpl.core import COMPLEX, REAL, make_frame
-from fpl.errors import FrameFileError, NotAFrame
+from fpl.errors import DomainError, FrameFileError, NotAFrame
 from fpl.io import (
     BasisAdjustedWarning,
     frame_from_payload,
@@ -96,6 +96,29 @@ class TestFramePayloadErrors:
     def test_rejects_string_entries(self):
         with pytest.raises(FrameFileError):
             frame_from_payload(self.payload(vectors=[["1", 0.0], [0.0, 1.0]]))
+
+    def test_rejects_boolean_entries(self):
+        with pytest.raises(FrameFileError):
+            frame_from_payload(self.payload(vectors=[[True, 0.0], [0.0, 1.0]]))
+        with pytest.raises(FrameFileError):
+            frame_from_payload(self.payload(field="complex",
+                                            vectors=[[[1.0, False], 0.0],
+                                                     [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_json_constants(self, tmp_path, constant):
+        path = tmp_path / "frame.json"
+        path.write_text('{"field": "real", "n": 2, "k": 2, "vectors": '
+                        f'[[{constant}, 0.0], [0.0, 1.0]]}}')
+        with pytest.raises(FrameFileError, match=constant):
+            load_frame(path)
+
+    def test_rejects_numbers_that_overflow(self, tmp_path):
+        path = tmp_path / "frame.json"
+        path.write_text('{"field": "real", "n": 2, "k": 2, "vectors": '
+                        '[[1e999, 0.0], [0.0, 1.0]]}')
+        with pytest.raises(DomainError):
+            load_frame(path)
 
     def test_rejects_non_object_payload(self, tmp_path):
         path = tmp_path / "frame.json"
