@@ -11,6 +11,7 @@ non-frames, non-duals, shape clashes), 1 for solver or internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -20,6 +21,7 @@ from . import fusion as fu
 from . import potentials as pot
 from .core import (
     DUAL_TOL,
+    REAL,
     canonical_dual,
     cross_gramian,
     dual_family,
@@ -79,10 +81,14 @@ def _fmt(value) -> str:
     return f"{float(value):.9f}"
 
 
+def _pieces(rec: list[tuple[str, object]]) -> list[str]:
+    return [f"{key}={_fmt(val)}" for key, val in rec]
+
+
 def _emit(records: list[list[tuple[str, object]]], fmt: str) -> None:
     if fmt == "structured":
         for rec in records:
-            print(" ".join(f"{key}={_fmt(val)}" for key, val in rec))
+            print(" ".join(_pieces(rec)))
         return
     header = [key for key, _ in records[0]]
     rows = [header] + [[_fmt(val) for _, val in rec] for rec in records]
@@ -91,9 +97,23 @@ def _emit(records: list[list[tuple[str, object]]], fmt: str) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _matrix_record(prefix: str, m: np.ndarray) -> list[tuple[str, object]]:
-    return [(f"{prefix}_{i}_{j}", m[i, j])
-            for i in range(m.shape[0]) for j in range(m.shape[1])]
+def _matrix_pieces(prefix: str, m: np.ndarray) -> list[str]:
+    """One ``prefix_i_j=value ...`` piece per row, entries formatted as _fmt
+    formats them, each row in one str.format call."""
+    if np.iscomplexobj(m):
+        cells = (f"{{p}}_{j}={{{j}.real:.9f}}{{{j}.imag:+.9f}}j"
+                 for j in range(m.shape[1]))
+    else:
+        cells = (f"{{p}}_{j}={{:.9f}}" for j in range(m.shape[1]))
+    row = " ".join(cells)
+    return [row.format(*values, p=f"{prefix}_{i}")
+            for i, values in enumerate(m.tolist()) if values]
+
+
+def _emit_matrix(rec: list[tuple[str, object]], prefix: str,
+                 m: np.ndarray) -> None:
+    """One structured line: the record, then the matrix's entries."""
+    print(" ".join(_pieces(rec) + _matrix_pieces(prefix, m)))
 
 
 def _print_matrix(m: np.ndarray) -> None:
@@ -175,9 +195,8 @@ def _cmd_dual(args) -> int:
     frame = load_frame(args.frame)
     dual = canonical_dual(frame)
     if args.format == "structured":
-        rec = [("n", dual.n), ("k", dual.k), ("field", dual.field)]
-        rec += _matrix_record("entry", dual.synthesis)
-        _emit([rec], "structured")
+        _emit_matrix([("n", dual.n), ("k", dual.k), ("field", dual.field)],
+                     "entry", dual.synthesis)
     else:
         print(f"canonical dual  n={dual.n}  k={dual.k}  field={dual.field}")
         _print_matrix(dual.synthesis)
@@ -199,7 +218,7 @@ def _cmd_family(args) -> int:
     if params is None:
         raise NotADual("the second frame is not a dual of the first")
     if args.format == "structured":
-        _emit([rec + _matrix_record("param", params)], "structured")
+        _emit_matrix(rec, "param", params)
     else:
         _emit([rec], "text")
         print("parameters:")
@@ -246,15 +265,15 @@ def _cmd_fusion(args) -> int:
 def _cmd_harness(args) -> int:
     if args.frame:
         frame = load_frame(args.frame)
-        pairs = [(frame.n, frame.k)]
+        pairs, field = [(frame.n, frame.k)], frame.field
     else:
-        pairs = list(HARNESS_PAIRS)
+        pairs, field = list(HARNESS_PAIRS), REAL
     threads = _threads_from_env()
     records = []
     dumps: list[tuple[str, str]] = []
     for n, k in pairs:
         summary = conjecture_harness(n, k, args.trials, args.seed,
-                                     threads=threads)
+                                     field=field, threads=threads)
         records.append([
             ("n", n), ("k", k), ("trials", summary.trials),
             ("seed", summary.seed), ("violations", summary.violations),
@@ -278,12 +297,8 @@ def _cmd_paper_suite(args) -> int:
         for r in results:
             print(f"check={r.name} ok={_fmt(r.ok)} {r.detail}")
     else:
-        rows = [["check", "status", "detail"]]
-        rows += [[r.name, "ok" if r.ok else "FAIL", r.detail]
-                 for r in results]
-        widths = [max(len(row[i]) for row in rows) for i in range(3)]
-        for row in rows:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        _emit([[("check", r.name), ("status", "ok" if r.ok else "FAIL"),
+                ("detail", r.detail)] for r in results], "text")
         n_ok = sum(1 for r in results if r.ok)
         print(f"{n_ok}/{len(results)} checks reproduced")
     return 0 if all(r.ok for r in results) else 1
@@ -294,6 +309,9 @@ def _add_format(sp: argparse.ArgumentParser) -> None:
                     default="text", help="output format")
 
 
+# Built once per process and reused: a parser is a web of back references,
+# so one per call would leave several hundred objects of cyclic garbage.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpl",

@@ -132,27 +132,23 @@ def is_tight_fusion(ff: FusionFrame, tol: float = TIGHT_TOL) -> bool:
 
 
 def fusion_potential(ff: FusionFrame) -> PotentialReport:
-    """Sum of Tr(P_i P_j) over all ordered pairs, bounded below by
-    (sum of dims)^2 / n with equality exactly for tight fusion frames."""
-    value = 0.0
-    for wi in ff.subspaces:
-        for wj in ff.subspaces:
-            value += float(np.sum(np.abs(wi.basis.conj().T @ wj.basis) ** 2))
+    """Sum of Tr(P_i P_j) over all ordered pairs, which is Tr(S^2) = ||S||_F^2;
+    bounded below by (sum of dims)^2 / n with equality exactly for tight
+    fusion frames."""
+    s = ff.operator
     total = float(sum(ff.dims))
-    return _report("fusion_potential", value, total ** 2 / ff.n)
+    return _report("fusion_potential", float(np.vdot(s, s).real),
+                   total ** 2 / ff.n)
 
 
 def cross_fusion_potential(ff: FusionFrame, other: FusionFrame) -> float:
-    """Sum of Tr(P_i Q_j) over ordered pairs; equals Tr(S_P S_Q)."""
+    """Sum of Tr(P_i Q_j) over ordered pairs, which is Tr(S_P S_Q)."""
     if ff.n != other.n:
         raise ShapeMismatch("fusion frames live in different ambient spaces")
     if ff.k != other.k:
         raise ShapeMismatch("fusion frames carry different subspace counts")
-    value = 0.0
-    for wi in ff.subspaces:
-        for wj in other.subspaces:
-            value += float(np.sum(np.abs(wi.basis.conj().T @ wj.basis) ** 2))
-    return value
+    # Both operators are Hermitian, so Tr(S_P S_Q) = Re <S_P, S_Q>_F.
+    return float(np.vdot(ff.operator, other.operator).real)
 
 
 def canonical_dual_fusion(ff: FusionFrame) -> FusionFrame:
@@ -226,7 +222,9 @@ class SelfDualReport:
     ``applies`` is True when every pair of subspaces is equal, orthogonal
     or semi-orthogonal; in that case the canonical dual must coincide with
     the fusion frame itself, and the cross potential must equal the sum of
-    pairwise intersection dimensions (``predicted_potential``).
+    pairwise intersection dimensions (``predicted_potential``).  The
+    classification stops at the first pair that is none of the three, so
+    ``predicted_potential`` is None whenever ``applies`` is False.
     """
 
     applies: bool
@@ -235,29 +233,34 @@ class SelfDualReport:
     dual_matches: bool
 
 
-def structured_self_dual_check(ff: FusionFrame,
-                               tol: float = SUBSPACE_TOL) -> SelfDualReport:
-    classified = True
+def _structured_prediction(ff: FusionFrame, tol: float) -> float | None:
+    """Sum of pairwise intersection dimensions over ordered pairs when every
+    pair is equal, orthogonal or semi-orthogonal; None as soon as one pair
+    is none of these."""
     predicted = 0.0
     for i, wi in enumerate(ff.subspaces):
         for j, wj in enumerate(ff.subspaces):
-            if i == j:
-                predicted += wi.dim
-            elif subspaces_equal(wi, wj, tol):
+            if i == j or subspaces_equal(wi, wj, tol):
                 predicted += wi.dim
             elif subspaces_orthogonal(wi, wj, tol):
-                predicted += 0.0
+                continue
             elif is_semi_orthogonal(wi, wj):
                 predicted += intersection_dim(wi, wj)
             else:
-                classified = False
+                return None
+    return predicted
+
+
+def structured_self_dual_check(ff: FusionFrame,
+                               tol: float = SUBSPACE_TOL) -> SelfDualReport:
+    predicted = _structured_prediction(ff, tol)
     dual = canonical_dual_fusion(ff)
     measured = cross_fusion_potential(ff, dual)
     matches = all(subspaces_equal(w, q, tol)
                   for w, q in zip(ff.subspaces, dual.subspaces))
     return SelfDualReport(
-        applies=classified,
-        predicted_potential=predicted if classified else None,
+        applies=predicted is not None,
+        predicted_potential=predicted,
         measured_potential=measured,
         dual_matches=matches,
     )

@@ -25,7 +25,7 @@ from .core import (
     dual_family,
     is_dual,
 )
-from .errors import DomainError, NotADual, SolverFailure
+from .errors import DomainError, NotADual, NotAFrame, SolverFailure
 from .potentials import max_offdiagonal, welch_constant
 
 # Conjectured coherence floor is tested with this slack.
@@ -398,7 +398,13 @@ def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
              else _gaussian(rng, (n, k), field))
     # One stacked SVD serves the rank check and the null bases.
     sigma, vh = np.linalg.svd(frames, full_matrices=True)[1:]
-    if frame_factory is None:
+    if frame_factory is not None:
+        deficient = sigma[:, -1] <= RANK_RTOL * sigma[:, 0]
+        if deficient.any():
+            t = t0 + int(np.argmax(deficient))
+            raise NotAFrame(
+                f"frame_factory returned a rank-deficient frame at trial {t}")
+    else:
         # Trials that fail the check, or pass it by less than a factor 2,
         # are drawn again the sequential way, whose single-matrix check
         # decides them; so a last-bit difference between the two SVDs
@@ -454,7 +460,8 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
     off-diagonal Gramian energy, the branch the floor argument leaves open.
     For k = n the floor is zero and every trial passes trivially
-    (min_ratio reported as inf).
+    (min_ratio reported as inf).  A ``frame_factory`` frame that does not
+    span raises NotAFrame naming its trial.
     """
     if n < 1 or k < n:
         raise DomainError("need k >= n >= 1")

@@ -13,8 +13,11 @@ needed more than a cosmetic adjustment.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,26 +35,44 @@ class BasisAdjustedWarning(UserWarning):
 
 
 # Exact types, so that JSON true/false (bool subclasses int) are rejected.
-_NUMBER_TYPES = (float, int)
+_NUMBER_TYPES = frozenset((float, int))
 
 
 def _parse_entry(entry, field: str, where: str):
-    if field == COMPLEX:
+    try:
         if type(entry) in _NUMBER_TYPES:
-            return complex(entry)
-        if (isinstance(entry, list) and len(entry) == 2
+            return complex(entry) if field == COMPLEX else float(entry)
+        if (field == COMPLEX and isinstance(entry, list) and len(entry) == 2
                 and all(type(x) in _NUMBER_TYPES for x in entry)):
             return complex(entry[0], entry[1])
+    except OverflowError:
+        raise FrameFileError(f"{where}: number too large for a float") from None
+    if field == COMPLEX:
         raise FrameFileError(
             f"{where}: complex entries must be numbers or [re, im] pairs")
-    if type(entry) in _NUMBER_TYPES:
-        return float(entry)
     raise FrameFileError(f"{where}: real entries must be plain numbers")
+
+
+def _fast_columns(columns: list, n: int, field: str) -> np.ndarray | None:
+    """The n x k matrix of a real file whose columns are all lists of n
+    plain numbers, converted in one array call; None for any other input,
+    which _parse_columns then decides entry by entry."""
+    if (field != REAL
+            or not all(type(col) is list and len(col) == n for col in columns)
+            or not set(map(type, chain.from_iterable(columns))) <= _NUMBER_TYPES):
+        return None
+    try:
+        return np.array(columns, dtype=np.float64).T
+    except OverflowError:
+        return None
 
 
 def _parse_columns(columns, n: int, field: str, where: str) -> np.ndarray:
     if not isinstance(columns, list) or not columns:
         raise FrameFileError(f"{where}: expected a non-empty list of columns")
+    matrix = _fast_columns(columns, n, field)
+    if matrix is not None:
+        return matrix
     parsed = []
     for j, col in enumerate(columns):
         if not isinstance(col, list) or len(col) != n:
@@ -79,6 +100,10 @@ def _load_json(path) -> dict:
             payload = json.load(fh, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"{path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond Python's digit limit, text that is not
+        # UTF-8, or arrays nested too deeply to decode
+        raise FrameFileError(f"{path}: cannot be decoded ({exc})") from exc
     if not isinstance(payload, dict):
         raise FrameFileError(f"{path}: expected a JSON object")
     return payload
@@ -98,19 +123,39 @@ def frame_from_payload(payload: dict) -> Frame:
     return make_frame(matrix)
 
 
+def _encode_columns(m: np.ndarray) -> list:
+    """Column-major JSON lists of a matrix; complex entries as [re, im]."""
+    if np.iscomplexobj(m):
+        return np.stack([m.real.T, m.imag.T], axis=-1).tolist()
+    return m.T.tolist()
+
+
 def frame_to_payload(frame: Frame) -> dict:
-    cols = []
-    for j in range(frame.k):
-        col = frame.vector(j)
-        if frame.field == COMPLEX:
-            cols.append([[float(e.real), float(e.imag)] for e in col])
-        else:
-            cols.append([float(e) for e in col])
-    return {"field": frame.field, "n": frame.n, "k": frame.k, "vectors": cols}
+    return {"field": frame.field, "n": frame.n, "k": frame.k,
+            "vectors": _encode_columns(frame.synthesis)}
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Hold off the cyclic garbage collector while a decoded file is alive.
+
+    A decoded file is a tree of lists with no cycles, often thousands of
+    them (one per column, or per complex entry).  A collection in the middle
+    of a load frees none of them; it only moves the tree into older
+    generations, where it counts towards the next full collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_frame(path) -> Frame:
-    return frame_from_payload(_load_json(path))
+    with _collector_paused():
+        return frame_from_payload(_load_json(path))
 
 
 def save_frame(frame: Frame, path) -> None:
@@ -143,20 +188,12 @@ def fusion_from_payload(payload: dict, source: str = "fusion data") -> FusionFra
 
 
 def load_fusion_frame(path) -> FusionFrame:
-    return fusion_from_payload(_load_json(path), source=str(path))
+    with _collector_paused():
+        return fusion_from_payload(_load_json(path), source=str(path))
 
 
 def fusion_to_payload(ff: FusionFrame) -> dict:
-    subs = []
-    for w in ff.subspaces:
-        cols = []
-        for j in range(w.dim):
-            col = w.basis[:, j]
-            if np.iscomplexobj(w.basis):
-                cols.append([[float(e.real), float(e.imag)] for e in col])
-            else:
-                cols.append([float(e) for e in col])
-        subs.append({"basis": cols})
+    subs = [{"basis": _encode_columns(w.basis)} for w in ff.subspaces]
     fld = COMPLEX if any(np.iscomplexobj(w.basis) for w in ff.subspaces) else REAL
     return {"n": ff.n, "field": fld, "subspaces": subs}
 

@@ -1,10 +1,18 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpl
+from fpl import cli
 from fpl.cli import run
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
+from fpl.grassmannian import conjecture_harness
 from fpl.io import load_frame, save_frame, save_fusion_frame
 from fpl.potentials import max_offdiagonal, welch_constant
 
@@ -140,6 +148,44 @@ class TestDualVerb:
                                     "-0.500000000"]
 
 
+class TestMatrixOutput:
+    MATRICES = [
+        np.array([[0.5, -1e-12, -0.0], [1.0 / 3.0, -2.5e-10, 1e6]]),
+        np.array([[1 + 2j, -1e-12 - 1e-12j, 0.25j],
+                  [-0.0 + 0.0j, 3.0 - 4e-11j, -1.0 / 3.0]]),
+        np.zeros((2, 0)),
+    ]
+
+    @pytest.mark.parametrize("m", MATRICES)
+    def test_pieces_match_fmt_entry_by_entry(self, m):
+        want = [f"p_{i}_{j}={cli._fmt(m[i, j])}"
+                for i in range(m.shape[0]) for j in range(m.shape[1])]
+        assert " ".join(cli._matrix_pieces("p", m)) == " ".join(want)
+        if m.size:
+            assert any(v.endswith("=-0.000000000") or "-0.000000000j" in v
+                       for v in want)
+
+    def test_square_family_has_no_parameter_fields(self, capsys, paths):
+        code, out, _ = invoke(capsys, "family", "--frame", paths["square"],
+                              "--other", paths["square"],
+                              "--format", "structured")
+        assert code == 0
+        assert out == "n=3 k=3 family_dim=0 null_dim=0\n"
+
+    def test_complex_dual_line(self, capsys, tmp_path):
+        m = np.array([[1 + 1j, -1e-12, 2.0], [0.5j, 3.0, -1e-12 - 1e-12j]])
+        path = tmp_path / "complex.json"
+        save_frame(make_frame(m), path)
+        code, out, _ = invoke(capsys, "dual", "--frame", str(path),
+                              "--format", "structured")
+        assert code == 0
+        g = canonical_dual(make_frame(m)).synthesis
+        assert out == " ".join(
+            ["n=2 k=3 field=complex"]
+            + [f"entry_{i}_{j}={cli._fmt(g[i, j])}"
+               for i in range(2) for j in range(3)]) + "\n"
+
+
 class TestFamilyVerb:
     def test_dimensions_only(self, capsys, paths):
         code, out, _ = invoke(capsys, "family", "--frame", paths["trident"],
@@ -253,6 +299,27 @@ class TestHarnessVerb:
         _, third, _ = invoke(capsys, *args)
         assert first == second == third
 
+    def test_complex_frame_file_probes_complex_frames(self, capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        m = np.array([[1.0, 1j, -1.0], [0.5, 1.0, 1j]])
+        save_frame(make_frame(m), tmp_path / "complex.json")
+        code, out, _ = invoke(capsys, "harness", "--frame", "complex.json",
+                              "--trials", "200", "--seed", "4",
+                              "--format", "structured")
+        assert code == 0
+        want = conjecture_harness(2, 3, 200, 4, field="complex",
+                                  max_counterexamples=0)
+        real = conjecture_harness(2, 3, 200, 4, max_counterexamples=0)
+        assert want.min_ratio != real.min_ratio
+        assert out.splitlines()[0] == (
+            f"n=2 k=3 trials=200 seed=4 violations={want.violations} "
+            f"min_ratio={want.min_ratio:.9f} "
+            f"case_a_count={want.case_a_count}")
+        for line in out.splitlines()[1:]:
+            name = line.split()[0].split("=")[1]
+            assert load_frame(tmp_path / name).field == "complex"
+
     def test_invalid_thread_env_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("FPL_THREADS", "many")
         code, _, err = invoke(capsys, "harness", "--trials", "10")
@@ -298,11 +365,80 @@ class TestDiagnosticsAndExitCodes:
         assert err.startswith(f"error: {error}:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field,entry", [
+        ("real", "1" + "0" * 400), ("complex", "1" + "0" * 400),
+        ("complex", "[0, -1" + "0" * 400 + "]"),
+        ("real", "1" + "0" * 5000)])
+    def test_integers_no_float_can_hold(self, capsys, tmp_path, field, entry):
+        bad = tmp_path / "big.json"
+        bad.write_text(f'{{"field": "{field}", "n": 2, "k": 3, "vectors": '
+                       f'[[{entry}, 1.0], [1.0, 1.0], [-1.0, 1.0]]}}')
+        code, out, err = invoke(capsys, "potential", "--frame", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: FrameFileError:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000])
+    def test_undecodable_files(self, capsys, tmp_path, content):
+        bad = tmp_path / "odd.json"
+        bad.write_bytes(content)
+        code, out, err = invoke(capsys, "potential", "--frame", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: FrameFileError:")
+        assert err.count("\n") == 1
+
     def test_usage_errors(self, capsys):
         assert invoke(capsys, )[0] == 2
         assert invoke(capsys, "potential")[0] == 2
         assert invoke(capsys, "potential", "--no-such-flag")[0] == 2
 
+
+class TestParserReuse:
+    @pytest.mark.parametrize("argv", [
+        ("potential", "--frame", "trident", "--format", "structured"),
+        ("dual", "--frame", "trident", "--format", "structured"),
+        ("cross", "--frame", "trident", "--other", "trident_canon",
+         "--p", "2", "--eta", "5", "--alpha", "1"),
+        ("fusion", "--fusion", "fusion_xy_z")])
+    def test_calls_leave_no_cyclic_garbage(self, capsys, paths, argv):
+        argv = [paths.get(a, a) for a in argv]
+        invoke(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            code = run(argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert code == 0
+        assert garbage == 0
+
+    def test_a_usage_error_does_not_affect_the_next_call(self, capsys, paths):
+        argv = ("potential", "--frame", paths["trident"], "--format",
+                "structured")
+        first = invoke(capsys, *argv)
+        assert invoke(capsys, "potential", "--no-such-flag")[0] == 2
+        assert invoke(capsys, "dual", "--frame", paths["trident"])[0] == 0
+        assert invoke(capsys, *argv) == first
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+    def test_openblas_runs_one_thread_unless_told(self, preset, want):
+        env = {key: val for key, val in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(fpl.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import fpl, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == f"{want}\n"
 
 class TestPaperSuiteVerb:
     def test_structured_run_flags_the_known_divergence(self, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fpl import fusion
 from fpl.errors import (
     EmptySubspace,
     NotAFusionFrame,
@@ -26,6 +27,22 @@ from fpl.fusion import (
     subspaces_equal,
     subspaces_orthogonal,
 )
+
+
+def _pairwise_cross(ff, other):
+    """Sum of Tr(P_i Q_j) over ordered pairs, the definition term by term."""
+    return sum(float(np.sum(np.abs(wi.basis.conj().T @ wj.basis) ** 2))
+               for wi in ff.subspaces for wj in other.subspaces)
+
+
+def _random_fusion(rng, n, dims, field="real"):
+    bases = []
+    for d in dims:
+        m = rng.standard_normal((n, d))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal((n, d))
+        bases.append(m)
+    return make_fusion_frame(bases)
 
 
 def _rotation(theta):
@@ -176,6 +193,27 @@ class TestCrossPotential:
             cross_fusion_potential(fusion_xy_z, three)
 
 
+class TestTraceIdentities:
+    CASES = [("real", 5, (2, 2, 2, 2)), ("real", 6, (1, 3, 2, 4, 1)),
+             ("complex", 4, (2, 2, 2)), ("complex", 5, (1, 2, 3, 1, 2))]
+
+    @pytest.mark.parametrize("field,n,dims", CASES)
+    def test_potential_matches_pairwise_sum(self, field, n, dims):
+        ff = _random_fusion(np.random.default_rng(n), n, dims, field)
+        want = _pairwise_cross(ff, ff)
+        assert fusion_potential(ff).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("field,n,dims", CASES)
+    def test_cross_matches_pairwise_sum_and_is_symmetric(self, field, n,
+                                                         dims):
+        rng = np.random.default_rng(n + 100)
+        p = _random_fusion(rng, n, dims, field)
+        q = _random_fusion(rng, n, dims[::-1], field)
+        want = _pairwise_cross(p, q)
+        assert cross_fusion_potential(p, q) == pytest.approx(want, rel=1e-12)
+        assert cross_fusion_potential(q, p) == pytest.approx(want, rel=1e-12)
+
+
 class TestCanonicalDual:
     def test_self_dual_examples(self, fusion_xy_z, fusion_xy_antidiag):
         for ff in (fusion_xy_z, fusion_xy_antidiag):
@@ -257,6 +295,32 @@ class TestStructuredSelfDual:
         assert report.predicted_potential is None
         assert report.measured_potential == pytest.approx(5.0, abs=1e-9)
         assert not report.dual_matches
+
+    def test_bundled_reports_are_exact(self, fusion_xy_z, fusion_xy_antidiag):
+        for ff, predicted in ((fusion_xy_z, 3.0), (fusion_xy_antidiag, 6.0)):
+            report = structured_self_dual_check(ff)
+            assert report.applies and report.dual_matches
+            assert report.predicted_potential == predicted
+            assert report.measured_potential == pytest.approx(
+                _pairwise_cross(ff, canonical_dual_fusion(ff)), rel=1e-12)
+
+    def test_stops_at_the_first_unclassified_pair(self, monkeypatch):
+        ff = _random_fusion(np.random.default_rng(3), 6, (2,) * 8)
+        calls = []
+
+        def counting(w1, w2, *args):
+            calls.append((w1, w2))
+            return is_semi_orthogonal(w1, w2, *args)
+
+        monkeypatch.setattr(fusion, "is_semi_orthogonal", counting)
+        report = structured_self_dual_check(ff)
+        assert not report.applies
+        assert report.predicted_potential is None
+        assert not report.dual_matches
+        # the pair (0, 1) of generic planes is already unclassified
+        assert calls == [(ff.subspaces[0], ff.subspaces[1])]
+        assert report.measured_potential == pytest.approx(
+            _pairwise_cross(ff, canonical_dual_fusion(ff)), rel=1e-12)
 
 
 class TestOrthonormalBasisAndUnitaries:

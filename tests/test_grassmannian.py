@@ -3,7 +3,7 @@ import pytest
 
 from fpl import grassmannian
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
-from fpl.errors import DomainError, NotADual
+from fpl.errors import DomainError, NotADual, NotAFrame
 from fpl.grassmannian import (
     VIOLATION_TOL,
     SolverConfig,
@@ -329,6 +329,27 @@ class TestHarness:
                                      frame_factory=factory)
         assert summary.violations == 0
         assert summary.min_ratio == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rank_deficient_factory_frame_names_its_trial(self, monkeypatch,
+                                                          threads):
+        # eight (2, 3) trials per chunk, so the first bad trial is not in
+        # the first chunk
+        monkeypatch.setattr(grassmannian, "HARNESS_CHUNK_BYTES", 8 * 480)
+
+        def factory(rng, n, k):
+            deficient = rng.integers(40) == 0
+            m = rng.standard_normal((n, k))
+            if deficient:
+                m[1] = 2.0 * m[0]
+            return m
+
+        bad = [t for t in range(100)
+               if np.random.default_rng((6, t)).integers(40) == 0]
+        assert bad
+        with pytest.raises(NotAFrame, match=f"at trial {bad[0]}$"):
+            conjecture_harness(2, 3, 100, seed=6, frame_factory=factory,
+                               threads=threads)
 
     def test_square_case_is_trivially_clean(self):
         summary = conjecture_harness(3, 3, 200, seed=4)

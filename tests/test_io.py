@@ -1,10 +1,13 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from fpl import io
 from fpl.core import COMPLEX, REAL, make_frame
 from fpl.errors import DomainError, FrameFileError, NotAFrame
+from fpl.fusion import make_fusion_frame
 from fpl.io import (
     BasisAdjustedWarning,
     frame_from_payload,
@@ -140,6 +143,204 @@ class TestFramePayloadErrors:
         payload = self.payload(vectors=[[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(NotAFrame):
             frame_from_payload(payload)
+
+
+BIG = 10 ** 400  # an integer literal no float can hold
+
+
+class TestLargeIntegers:
+    @pytest.mark.parametrize("field,entry", [
+        ("real", BIG), ("real", -BIG), ("complex", BIG),
+        ("complex", [0, BIG]), ("complex", [BIG, 1.0])])
+    def test_integers_beyond_float_range_are_file_errors(self, field, entry):
+        payload = {"field": field, "n": 2, "k": 2,
+                   "vectors": [[1.0, 0.0], [entry, 1.0]]}
+        with pytest.raises(FrameFileError, match="column 1: number too large"):
+            frame_from_payload(payload)
+
+    def test_literal_beyond_the_digit_limit_is_a_file_error(self, tmp_path):
+        path = tmp_path / "frame.json"
+        path.write_text('{"field": "real", "n": 2, "k": 2, "vectors": '
+                        f'[[1{"0" * 5000}, 0.0], [0.0, 1.0]]}}')
+        with pytest.raises(FrameFileError):
+            load_frame(path)
+
+    def test_integers_above_2_53_round_like_float(self):
+        big = 2 ** 53 + 1
+        f = frame_from_payload({"field": "real", "n": 2, "k": 2,
+                                "vectors": [[big, 0], [0, -big]]})
+        assert f.synthesis[0, 0] == float(big)
+        assert f.synthesis[1, 1] == -float(big)
+
+
+def _slow_columns(monkeypatch):
+    monkeypatch.setattr(io, "_fast_columns", lambda *args: None)
+
+
+def _parse_both_ways(monkeypatch, columns, n, field):
+    """(fast, slow) outcomes of _parse_columns: the array, or the error."""
+    outcomes = []
+    for slow in (False, True):
+        if slow:
+            _slow_columns(monkeypatch)
+        try:
+            outcomes.append(io._parse_columns(columns, n, field, "vectors"))
+        except FrameFileError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestParseFastPath:
+    @pytest.mark.parametrize("field,columns,one_call", [
+        ("real", [[1.0, -0.0], [2, 0.5]], True),
+        ("real", [[2 ** 53 + 1, 3], [-(2 ** 60) - 1, 1e-300]], True),
+        ("real", [[], []], True),
+        ("complex", [[[1.0, -0.0], [-0.0, 2]], [[0, 1], [3, -4.5]]], False),
+        ("complex", [[[1.0, 2.0], 0.5], [1, [0, 1]]], False),
+        ("complex", [[1, -0.0], [2.5, 3]], False),
+    ])
+    def test_same_array_as_the_entry_parser(self, monkeypatch, field, columns,
+                                            one_call):
+        n = len(columns[0])
+        assert (io._fast_columns(columns, n, field) is not None) == one_call
+        fast, slow = _parse_both_ways(monkeypatch, columns, n, field)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("field,columns", [
+        ("real", [[True, 0.0], [0.0, 1.0]]),
+        ("real", [[1.0, "2"], [0.0, 1.0]]),
+        ("real", [[1.0, 0.0], [0.0]]),
+        ("real", [[1.0, 0.0], 7]),
+        ("real", [[1.0, [0.0, 1.0]], [0.0, 1.0]]),
+        ("real", [[1.0, 0.0], [None, 1.0]]),
+        ("real", [[1.0, 0.0], [BIG, 1.0]]),
+        ("complex", [[[1.0, False], 0.0], [0.0, 1.0]]),
+        ("complex", [[[1.0, 2.0, 3.0], 0.0], [0.0, 1.0]]),
+        ("complex", [[[1.0, "2"], [0, 1]], [[0, 1], [1, 0]]]),
+        ("complex", [[[1.0, BIG], [0, 1]], [[0, 1], [1, 0]]]),
+    ])
+    def test_same_error_as_the_entry_parser(self, monkeypatch, field,
+                                            columns):
+        fast, slow = _parse_both_ways(monkeypatch, columns, 2, field)
+        assert isinstance(fast, str)
+        assert fast == slow
+
+    def test_fusion_bases_take_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        payload = fusion_to_payload(make_fusion_frame(
+            [rng.standard_normal((4, 2)) for _ in range(3)]))
+        fast = fusion_from_payload(payload)
+        _slow_columns(monkeypatch)
+        slow = fusion_from_payload(payload)
+        assert fast.operator.tobytes() == slow.operator.tobytes()
+
+
+def _columns_one_by_one(m):
+    """The column encoding written out entry by entry."""
+    if np.iscomplexobj(m):
+        return [[[float(e.real), float(e.imag)] for e in col] for col in m.T]
+    return [[float(e) for e in col] for col in m.T]
+
+
+class TestColumnEncoding:
+    def test_frame_payload_matches_entrywise_encoding(self):
+        rng = np.random.default_rng(8)
+        for m in (rng.standard_normal((3, 5)),
+                  np.array([[-0.0, 1.0, 2.0], [0.5, -0.0, 1e-300]]),
+                  rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)),
+                  np.array([[1j, complex(-0.0, 2.0)],
+                            [complex(-1.0, -0.0), 2.0]])):
+            payload = frame_to_payload(make_frame(m))
+            assert json.dumps(payload["vectors"]) == json.dumps(
+                _columns_one_by_one(m))
+
+    def test_fusion_payload_matches_entrywise_encoding(self):
+        rng = np.random.default_rng(9)
+        for field in ("real", "complex"):
+            bases = [rng.standard_normal((4, d)) for d in (1, 2, 3)]
+            if field == "complex":
+                bases = [b + 1j * rng.standard_normal(b.shape) for b in bases]
+            ff = make_fusion_frame(bases)
+            payload = fusion_to_payload(ff)
+            assert payload["field"] == field
+            assert json.dumps(payload["subspaces"]) == json.dumps(
+                [{"basis": _columns_one_by_one(w.basis)}
+                 for w in ff.subspaces])
+
+
+
+def _collections_while_decoded(monkeypatch, load, convert, path):
+    """Generations of the collections that start between decoding the file
+    and the end of its conversion, while the decoded tree is alive."""
+    seen, alive = [], [False]
+    decode, conversion = io._load_json, getattr(io, convert)
+
+    def decoding(p):
+        alive[0] = True
+        return decode(p)
+
+    def converting(*args, **kwargs):
+        try:
+            return conversion(*args, **kwargs)
+        finally:
+            alive[0] = False
+
+    def note(phase, info):
+        if phase == "start" and alive[0]:
+            seen.append(info["generation"])
+
+    monkeypatch.setattr(io, "_load_json", decoding)
+    monkeypatch.setattr(io, convert, converting)
+    gc.callbacks.append(note)
+    try:
+        load(path)
+    finally:
+        gc.callbacks.remove(note)
+    return seen
+
+
+class TestCollectorPause:
+    """A decoded file has thousands of lists and no cycles; loading one
+    must not run the cyclic collector."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_frame_load_runs_no_collection(self, monkeypatch, tmp_path,
+                                           field):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((2, 3000))
+        if field == COMPLEX:
+            m = m + 1j * rng.standard_normal((2, 3000))
+        path = tmp_path / "wide.json"
+        save_frame(make_frame(m), path)
+        assert _collections_while_decoded(
+            monkeypatch, load_frame, "frame_from_payload", path) == []
+        assert gc.isenabled()
+
+    def test_fusion_load_runs_no_collection(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(6)
+        ff = make_fusion_frame([np.linalg.qr(rng.standard_normal((4, 2)))[0]
+                                for _ in range(1000)])
+        path = tmp_path / "many.json"
+        save_fusion_frame(ff, path)
+        assert _collections_while_decoded(
+            monkeypatch, load_fusion_frame, "fusion_from_payload", path) == []
+        assert gc.isenabled()
+
+    def test_collector_state_is_restored(self, tmp_path, trident):
+        path = tmp_path / "frame.json"
+        save_frame(trident, path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops")
+        with pytest.raises(FrameFileError):
+            load_frame(bad)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            load_frame(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestFusionRoundtrip:
