@@ -6,7 +6,8 @@ per record, with a stable field order and all floats printed to 9 decimal
 places, so downstream scripts can parse it and byte-compare runs.
 
 Exit codes: 0 success, 2 for input or validation problems (bad files,
-non-frames, non-duals, shape clashes), 1 for solver or internal failure.
+non-frames, non-duals, shape clashes, numerically singular frame
+operators), 1 for solver or internal failure.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
     NotUnitary,
     ShapeError,
     ShapeMismatch,
-    SolverFailure,
+    SingularOperator,
 )
 from .grassmannian import (
     SolverConfig,
@@ -63,6 +64,7 @@ _INPUT_ERRORS = (
     NotUnitary,
     NotAFusionFrame,
     EmptySubspace,
+    SingularOperator,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
@@ -147,14 +149,14 @@ def _cmd_cross(args) -> int:
     gram = cross_gramian(frame, other)
     dual = is_dual(frame, other, tol)
     rec: list[tuple[str, object]] = [
-        ("value", pot.cross_frame_potential(frame, other))]
+        ("value", pot.cross_frame_potential(gram))]
     if dual:
-        rep = pot.cross_potential_bound(frame, other, tol)
+        rep = pot.cross_potential_bound(gram, tol)
         rec += [("bound", rep.bound), ("meets_bound", rep.meets_bound),
                 ("equality", rep.equality_within <= pot.BOUND_SLACK)]
     rec.append(("is_dual", dual))
     if args.p is not None:
-        prep, const_diag = pot.pth_cross_report(frame, other, args.p)
+        prep, const_diag = pot.pth_cross_report(gram, args.p)
         rec += [("p", args.p), ("p_value", prep.value),
                 ("p_bound", prep.bound), ("p_meets_bound", prep.meets_bound),
                 ("constant_diagonal", const_diag)]
@@ -405,9 +407,6 @@ def run(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except SolverFailure as exc:
-        print(f"error: SolverFailure: {exc}", file=sys.stderr)
-        return 1
     except FrameError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

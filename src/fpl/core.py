@@ -201,6 +201,10 @@ class CrossGramian:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries)
 
+    def offdiagonal(self) -> np.ndarray:
+        """The k (k - 1) entries with i != j, in row-major order."""
+        return self.entries[~np.eye(self.k, dtype=bool)]
+
 
 def cross_gramian(frame: Frame, other: Frame) -> CrossGramian:
     _check_same_space(frame, other)
@@ -217,16 +221,19 @@ def analysis_coefficients(frame: Frame, vector) -> np.ndarray:
     return frame.synthesis.T @ np.conj(f)
 
 
+def _unitary(u, n: int, tol: float) -> np.ndarray:
+    """``u`` as an n x n matrix, checked to be unitary within ``tol``."""
+    um = _coerce_matrix(u)
+    if um.shape != (n, n):
+        raise ShapeMismatch(f"unitary must be {n} x {n}, got {um.shape}")
+    if float(np.max(np.abs(um.conj().T @ um - np.eye(n)))) > tol:
+        raise NotUnitary("matrix is not unitary within tolerance")
+    return um
+
+
 def apply_unitary(frame: Frame, u, tol: float = 1e-9) -> Frame:
     """Rotate the whole frame by a unitary (orthogonal) matrix."""
-    um = _coerce_matrix(u)
-    if um.shape != (frame.n, frame.n):
-        raise ShapeMismatch(
-            f"unitary must be {frame.n} x {frame.n}, got {um.shape}")
-    resid = um.conj().T @ um - np.eye(frame.n)
-    if float(np.max(np.abs(resid))) > tol:
-        raise NotUnitary("matrix is not unitary within tolerance")
-    return Frame(um @ frame.synthesis)
+    return Frame(_unitary(u, frame.n, tol) @ frame.synthesis)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RANK_RTOL, TIGHT_TOL, _coerce_matrix, _freeze
+from .core import RANK_RTOL, TIGHT_TOL, _coerce_matrix, _freeze, _unitary
 from .errors import (
     EmptySubspace,
     NotAFusionFrame,
-    NotUnitary,
     ShapeError,
     ShapeMismatch,
     SingularOperator,
@@ -279,9 +278,5 @@ def is_orthonormal_fusion_basis(ff: FusionFrame,
 
 
 def apply_unitary_fusion(ff: FusionFrame, u, tol: float = 1e-9) -> FusionFrame:
-    um = _coerce_matrix(u)
-    if um.shape != (ff.n, ff.n):
-        raise ShapeMismatch(f"unitary must be {ff.n} x {ff.n}, got {um.shape}")
-    if float(np.max(np.abs(um.conj().T @ um - np.eye(ff.n)))) > tol:
-        raise NotUnitary("matrix is not unitary within tolerance")
+    um = _unitary(u, ff.n, tol)
     return make_fusion_frame([um @ w.basis for w in ff.subspaces])

@@ -67,15 +67,15 @@ class MinMaxProblem:
 def minmax_problem(frame: Frame) -> MinMaxProblem:
     """Assemble the affine min-max data for a frame's dual family."""
     family = dual_family(frame)
-    n, k = frame.n, frame.k
-    base = frame.analysis @ family.base.synthesis
+    k = frame.k
     # Entry (i, j) of F* L N* is sum_ab conj(F[a,i]) L[a,b] conj(N[j,b]).
     coeffs = np.einsum("ai,jb->ijab",
                        frame.synthesis.conj(),
                        family.null_basis.conj()).reshape(k, k, -1)
-    off = ~np.eye(k, dtype=bool)
-    return MinMaxProblem(frame=frame, family=family,
-                         offsets=base[off], rows=coeffs[off])
+    return MinMaxProblem(
+        frame=frame, family=family,
+        offsets=cross_gramian(frame, family.base).offdiagonal(),
+        rows=coeffs[~np.eye(k, dtype=bool)])
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,7 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResul
     if frame.k == frame.n:
         params = np.zeros(problem.family.param_shape,
                           dtype=frame.synthesis.dtype)
-        gram = cross_gramian(frame, problem.family.base)
-        mu = 0.0 if frame.k < 2 else max_offdiagonal(gram)
-        return SearchResult(mu_min=mu, minimizer_params=params,
+        return SearchResult(mu_min=problem.mu(params), minimizer_params=params,
                             minimizer_dual=problem.family.base,
                             candidate_minimizers=(params,),
                             exclusive_within_tol=True, problem=problem)

@@ -1,5 +1,12 @@
 """Potential functionals on frames, dual pairs and their cross-Gramians.
 
+Every quantity defined for a pair (F, G) is a function of the cross-Gramian
+Gr(F, G) = F* G, so every pair functional here takes the
+:class:`~fpl.core.CrossGramian` that :func:`~fpl.core.cross_gramian` builds
+and reads its ``entries``; a caller forms the product once and passes it
+to as many functionals as it needs.  The frame potential is the case
+G = F.
+
 Every bounded functional reports through :class:`PotentialReport`, which
 keeps the computed value next to the theoretical bound so callers can see
 how close a configuration sits to the extremal case.
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import CrossGramian, Frame, cross_gramian, is_dual, _check_same_space
+from .core import CrossGramian, Frame, cross_gramian, is_dual
 from .errors import DomainError, NotADual
 
 # Slack allowed on inequalities of the form value >= bound.
@@ -46,8 +53,7 @@ def _report(functional: str, value: float, bound: float) -> PotentialReport:
 
 def frame_potential(frame: Frame) -> float:
     """Sum of |<f_i, f_j>|^2 over all ordered pairs; equals trace(S^2)."""
-    gram = frame.analysis @ frame.synthesis
-    return float(np.sum(np.abs(gram) ** 2))
+    return cross_frame_potential(cross_gramian(frame, frame))
 
 
 def frame_potential_bound(frame: Frame) -> PotentialReport:
@@ -60,24 +66,22 @@ def frame_potential_bound(frame: Frame) -> PotentialReport:
     return _report("frame_potential", value, total ** 2 / frame.n)
 
 
-def cross_frame_potential(frame: Frame, other: Frame) -> float:
+def cross_frame_potential(gram: CrossGramian) -> float:
     """Sum of |<f_i, g_j>|^2 over all ordered pairs of the two frames."""
-    _check_same_space(frame, other)
-    gram = frame.analysis @ other.synthesis
-    return float(np.sum(np.abs(gram) ** 2))
+    return float(np.sum(np.abs(gram.entries) ** 2))
 
 
-def cross_potential_bound(frame: Frame, other: Frame,
+def cross_potential_bound(gram: CrossGramian,
                           tol: float = 1e-9) -> PotentialReport:
     """Cross potential of a dual pair against its lower bound n.
 
     Equality characterises the canonical dual.  Raises NotADual when the
     pair fails the duality check at ``tol``.
     """
-    if not is_dual(frame, other, tol):
+    if not is_dual(gram.left, gram.right, tol):
         raise NotADual("cross potential bound requires a dual pair")
-    value = cross_frame_potential(frame, other)
-    return _report("cross_potential", value, float(frame.n))
+    return _report("cross_potential", cross_frame_potential(gram),
+                   float(gram.left.n))
 
 
 def gramian_diagonal_sum(gram: CrossGramian) -> PotentialReport:
@@ -90,13 +94,11 @@ def gramian_diagonal_sum(gram: CrossGramian) -> PotentialReport:
     return _report("diagonal_sum", value, n ** 2 / gram.k)
 
 
-def pth_cross_potential(frame: Frame, other: Frame, p: float) -> float:
+def pth_cross_potential(gram: CrossGramian, p: float) -> float:
     """Sum of |<f_i, g_j>|^(2p) over all ordered pairs."""
     if p <= 0:
         raise DomainError("p must be positive")
-    _check_same_space(frame, other)
-    gram = frame.analysis @ other.synthesis
-    return float(np.sum(np.abs(gram) ** (2.0 * p)))
+    return float(np.sum(np.abs(gram.entries) ** (2.0 * p)))
 
 
 def pth_bound(n: int, k: int, p: float) -> float:
@@ -126,15 +128,13 @@ def constant_diagonal(gram: CrossGramian, tol: float = CONST_DIAG_TOL) -> bool:
     return float(np.max(np.abs(gram.diagonal() - target))) <= tol
 
 
-def pth_cross_report(frame: Frame, other: Frame, p: float,
+def pth_cross_report(gram: CrossGramian, p: float,
                      diag_tol: float = CONST_DIAG_TOL
                      ) -> tuple[PotentialReport, bool]:
     """p-th cross potential with its bound, plus the precondition status."""
-    value = pth_cross_potential(frame, other, p)
-    report = _report("pth_cross_potential", value,
-                     pth_bound(frame.n, frame.k, p))
-    ok = constant_diagonal(cross_gramian(frame, other), diag_tol)
-    return report, ok
+    report = _report("pth_cross_potential", pth_cross_potential(gram, p),
+                     pth_bound(gram.left.n, gram.k, p))
+    return report, constant_diagonal(gram, diag_tol)
 
 
 def welch_constant(n: int, k: int) -> float:
@@ -150,9 +150,7 @@ def max_offdiagonal(gram: CrossGramian) -> float:
     """mu(G): the largest off-diagonal magnitude of the Gramian."""
     if gram.k < 2:
         raise DomainError("mu needs at least two vectors")
-    a = np.abs(gram.entries).copy()
-    np.fill_diagonal(a, -np.inf)
-    return float(a.max())
+    return float(np.abs(gram.offdiagonal()).max())
 
 
 def exp_entry(gram: CrossGramian, i: int, j: int, eta: float) -> float:
@@ -165,19 +163,13 @@ def exp_entry(gram: CrossGramian, i: int, j: int, eta: float) -> float:
     return float(np.exp(eta * np.abs(gram.entries[i, j]) ** 2))
 
 
-def _offdiagonal_squares(gram: CrossGramian) -> np.ndarray:
-    a = np.abs(gram.entries) ** 2
-    mask = ~np.eye(gram.k, dtype=bool)
-    return a[mask]
-
-
 def log_phi_offdiagonal(gram: CrossGramian, eta: float) -> float:
     """log of the off-diagonal exponential potential, safe for any eta."""
     if eta <= 0:
         raise DomainError("eta must be positive")
     if gram.k < 2:
         raise DomainError("the off-diagonal potential needs k >= 2")
-    return float(logsumexp(eta * _offdiagonal_squares(gram)))
+    return float(logsumexp(eta * np.abs(gram.offdiagonal()) ** 2))
 
 
 def phi_offdiagonal(gram: CrossGramian, eta: float) -> float:
@@ -221,7 +213,7 @@ def phi_sum(gram: CrossGramian, n: int, eta: float) -> PotentialReport:
         raise DomainError("the sum potential needs k >= 2")
     c2 = welch_constant(n, k) ** 2
     shift = n * n / (k * k) - c2
-    off_terms = eta * _offdiagonal_squares(gram)
+    off_terms = eta * np.abs(gram.offdiagonal()) ** 2
     diag_terms = eta * np.abs(gram.diagonal()) ** 2 - eta * shift
     log_value = float(logsumexp(np.concatenate([off_terms, diag_terms])))
     exponent = n / k ** 2 - n ** 2 / k ** 3 + n * (k - n) / (k ** 3 * (k - 1.0))

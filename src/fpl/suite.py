@@ -125,14 +125,15 @@ def run_suite() -> list[CheckResult]:
 
     # Cross potentials: canonical dual, alternate dual, sign-flipped non-dual.
     s.scalar("cross-trident-canonical",
-             pot.cross_frame_potential(trident, g), pt["cross_canonical"])
+             pot.cross_frame_potential(gram_g), pt["cross_canonical"])
     s.scalar("cross-trident-flat",
-             pot.cross_frame_potential(trident, flat), pt["cross_flat"])
+             pot.cross_frame_potential(gram_h), pt["cross_flat"])
     flipped = Frame(np.column_stack([-g.vector(0), g.vector(1), g.vector(2)]))
     s.scalar("cross-sign-flip-value",
-             pot.cross_frame_potential(trident, flipped), float(trident.n))
+             pot.cross_frame_potential(cross_gramian(trident, flipped)),
+             float(trident.n))
     s.flag("cross-sign-flip-not-dual", is_dual(trident, flipped), False)
-    scaled = pot.cross_frame_potential(trident, halved)
+    scaled = pot.cross_frame_potential(cross_gramian(trident, halved))
     s.flag("cross-halved-below-floor", scaled < trident.n - VALUE_TOL, True)
 
     # Gramian diagonals.
@@ -151,15 +152,12 @@ def run_suite() -> list[CheckResult]:
     gram_m = cross_gramian(mercedes, canonical_dual(mercedes))
     s.matrix("mercedes-pair-diagonal", np.abs(gram_m.diagonal()),
              np.full(3, pm["pair_diagonal"]))
-    off = np.abs(gram_m.entries)[~np.eye(3, dtype=bool)]
-    s.matrix("mercedes-pair-offdiagonal", off,
+    s.matrix("mercedes-pair-offdiagonal", np.abs(gram_m.offdiagonal()),
              np.full(6, pm["pair_offdiagonal_magnitude"]))
-    s.scalar("pth-equality-mercedes",
-             pot.pth_cross_potential(mercedes, canonical_dual(mercedes), 2.0),
+    s.scalar("pth-equality-mercedes", pot.pth_cross_potential(gram_m, 2.0),
              pub["pth_bound_2_3_2"])
     s.scalar("pth-equality-basis-plus-diag",
-             pot.pth_cross_potential(bpd, canonical_dual(bpd), 2.0),
-             pub["pth_bound_2_3_2"])
+             pot.pth_cross_potential(gram_b, 2.0), pub["pth_bound_2_3_2"])
     s.scalar("pth-bound-2-3-2", pot.pth_bound(2, 3, 2.0),
              pub["pth_bound_2_3_2"])
 

@@ -78,15 +78,16 @@ def test_criterion_1_reference_values(trident, trident_flat_dual, mercedes,
 
     # cross potentials of the canonical and the flat dual
     canon = canonical_dual(trident)
-    _approx(cross_potential_bound(trident, canon).value, 2.0)
-    _approx(cross_frame_potential(trident, trident_flat_dual), 4.0)
+    _approx(cross_potential_bound(cross_gramian(trident, canon)).value, 2.0)
+    _approx(cross_frame_potential(cross_gramian(trident, trident_flat_dual)),
+            4.0)
 
     # flipping the sign of one canonical dual vector keeps the cross
     # potential at exactly n while destroying duality
     flipped = canon.synthesis.copy()
     flipped[:, 0] = -flipped[:, 0]
     sign_flip = make_frame(flipped)
-    _approx(cross_frame_potential(trident, sign_flip), 2.0)
+    _approx(cross_frame_potential(cross_gramian(trident, sign_flip)), 2.0)
     assert not is_dual(trident, sign_flip)
 
     # cross-Gramians entrywise, plus their coherence values
@@ -164,11 +165,11 @@ def test_criterion_3_random_properties(basis_plus_diag):
     for rng, n, k, field in instance_grid(seed=101):
         f = make_frame(random_frame_matrix(rng, n, k, field))
         family = dual_family(f)
-        canon_value = cross_frame_potential(f, family.base)
+        canon_value = cross_frame_potential(cross_gramian(f, family.base))
         assert abs(canon_value - n) <= TOL
         params = family.random_param(rng)
         h = family.dual(params)
-        value = cross_frame_potential(f, h)
+        value = cross_frame_potential(cross_gramian(f, h))
         assert value >= n - TOL
         lifted = float(np.linalg.norm(f.analysis @ params) ** 2)
         assert abs(value - n - lifted) <= 1e-8  # equality only at zero params
@@ -209,10 +210,10 @@ def test_criterion_3_random_properties(basis_plus_diag):
         uf, uh = apply_unitary(f, u), apply_unitary(h, u)
         assert abs(frame_potential_bound(f).value
                    - frame_potential_bound(uf).value) <= TOL
-        assert abs(pth_cross_potential(f, h, 1.7)
-                   - pth_cross_potential(uf, uh, 1.7)) <= TOL
         before = cross_gramian(f, h)
         after = cross_gramian(uf, uh)
+        assert abs(pth_cross_potential(before, 1.7)
+                   - pth_cross_potential(after, 1.7)) <= TOL
         assert abs(max_offdiagonal(before) - max_offdiagonal(after)) <= TOL
         assert abs(log_phi_offdiagonal(before, 1.0)
                    - log_phi_offdiagonal(after, 1.0)) <= TOL

@@ -352,6 +352,19 @@ class TestDiagnosticsAndExitCodes:
         assert code == 2
         assert err.startswith("error: NotAFrame:")
 
+    def test_numerically_singular_operator(self, capsys, tmp_path):
+        # The vectors span (make_frame accepts them), but S = F F* underflows
+        # to a singular matrix, so the frame has no computable dual.
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({
+            "field": "real", "n": 2, "k": 3,
+            "vectors": [[1e-160, 0.0], [0.0, 1e-169], [0.0, 0.0]]}))
+        code, out, err = invoke(capsys, "dual", "--frame", str(tiny))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: SingularOperator: "
+                       "frame operator is numerically singular\n")
+
     @pytest.mark.parametrize("entry,error", [
         ("NaN", "FrameFileError"), ("Infinity", "FrameFileError"),
         ("true", "FrameFileError"), ("1e999", "DomainError")])

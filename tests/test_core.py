@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,15 @@ from fpl.errors import (
     SingularOperator,
 )
 
+import fpl
 from conftest import random_frame_matrix
+
+
+def test_package_exports_resolve_and_exclude_modules():
+    assert "__version__" in fpl.__all__
+    assert len(set(fpl.__all__)) == len(fpl.__all__)
+    for name in fpl.__all__:
+        assert not isinstance(getattr(fpl, name), types.ModuleType), name
 
 
 class TestConstruction:
@@ -194,6 +204,12 @@ class TestCrossGramian:
         np.testing.assert_allclose(gram.diagonal(), [1.0, 0.5, 0.5],
                                    atol=1e-15)
 
+    def test_offdiagonal_helper_is_row_major(self, trident, trident_flat_dual):
+        gram = cross_gramian(trident, trident_flat_dual)
+        np.testing.assert_allclose(gram.offdiagonal(),
+                                   [0.0, 0.0, 1.0, -0.5, 1.0, -0.5],
+                                   atol=1e-15)
+
 
 class TestAnalysisCoefficients:
     def test_coefficients_reconstruct_through_a_dual(self, trident):
@@ -225,11 +241,13 @@ class TestApplyUnitary:
                                    atol=1e-12)
 
     def test_rejects_non_unitary(self, trident):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(NotUnitary,
+                           match=r"^matrix is not unitary within tolerance$"):
             apply_unitary(trident, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_rejects_wrong_shape(self, trident):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^unitary must be 2 x 2, got \(3, 3\)$"):
             apply_unitary(trident, np.eye(3))
 
 

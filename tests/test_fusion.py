@@ -337,9 +337,11 @@ class TestOrthonormalBasisAndUnitaries:
             fusion_xy_tilted.eigenvalues, atol=1e-10)
 
     def test_rejects_non_unitary(self, fusion_xy_z):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(NotUnitary,
+                           match=r"^matrix is not unitary within tolerance$"):
             apply_unitary_fusion(fusion_xy_z, np.diag([1.0, 2.0, 1.0]))
 
     def test_rejects_wrong_shape(self, fusion_xy_z):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^unitary must be 3 x 3, got \(2, 2\)$"):
             apply_unitary_fusion(fusion_xy_z, np.eye(2))

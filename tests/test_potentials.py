@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fpl.core import canonical_dual, cross_gramian, dual_family, make_frame
+from fpl.core import (
+    CrossGramian,
+    canonical_dual,
+    cross_gramian,
+    dual_family,
+    make_frame,
+)
 from fpl.errors import DomainError, NotADual
 from fpl.potentials import (
     co_equipartition_profile,
@@ -55,22 +61,23 @@ class TestFramePotential:
 
 class TestCrossPotential:
     def test_canonical_pair_attains_the_floor(self, trident):
-        report = cross_potential_bound(trident, canonical_dual(trident))
+        report = cross_potential_bound(
+            cross_gramian(trident, canonical_dual(trident)))
         assert report.value == pytest.approx(2.0, abs=1e-12)
         assert report.bound == pytest.approx(2.0, abs=1e-12)
         assert report.equality_within <= 1e-9
 
     def test_flat_dual_value(self, trident, trident_flat_dual):
-        assert cross_frame_potential(trident, trident_flat_dual) == \
-            pytest.approx(4.0, abs=1e-12)
-        report = cross_potential_bound(trident, trident_flat_dual)
+        gram = cross_gramian(trident, trident_flat_dual)
+        assert cross_frame_potential(gram) == pytest.approx(4.0, abs=1e-12)
+        report = cross_potential_bound(gram)
         assert report.bound == pytest.approx(2.0, abs=1e-12)
         assert report.meets_bound
 
     def test_floor_requires_duality(self, trident, trident_flat_dual):
         halved = make_frame(trident_flat_dual.synthesis / 2.0)
         with pytest.raises(NotADual):
-            cross_potential_bound(trident, halved)
+            cross_potential_bound(cross_gramian(trident, halved))
 
     def test_family_offset_identity(self, trident):
         # value along the dual family is the floor plus the lifted energy
@@ -81,15 +88,43 @@ class TestCrossPotential:
             h = family.dual(params)
             lifted = trident.analysis @ params
             expected = 2.0 + np.linalg.norm(lifted) ** 2
-            got = cross_frame_potential(trident, h)
+            got = cross_frame_potential(cross_gramian(trident, h))
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_sign_flip_pair_reports_non_dual(self, trident):
         flipped = make_frame(-trident.synthesis)
-        assert cross_frame_potential(trident, flipped) == \
-            pytest.approx(13.0, abs=1e-12)
+        gram = cross_gramian(trident, flipped)
+        assert cross_frame_potential(gram) == pytest.approx(13.0, abs=1e-12)
         with pytest.raises(NotADual):
-            cross_potential_bound(trident, flipped)
+            cross_potential_bound(gram)
+
+
+class TestPairFunctionalsReadTheGramian:
+    def test_each_pair_functional_reads_entries(self, trident):
+        # A dual pair whose Gramian is replaced by a different matrix with
+        # constant diagonal n/k: every pair functional must see the
+        # replacement, never recompute F* G from the frames.
+        dual = canonical_dual(trident)
+        entries = np.full((3, 3), 0.5)
+        np.fill_diagonal(entries, 2 / 3)
+        assert not np.allclose(entries, trident.analysis @ dual.synthesis)
+        gram = CrossGramian(entries=entries, left=trident, right=dual)
+        squares = float(np.sum(entries ** 2))
+        fourth = float(np.sum(entries ** 4))
+        assert cross_frame_potential(gram) == pytest.approx(squares, abs=1e-15)
+        assert pth_cross_potential(gram, 2.0) == pytest.approx(fourth,
+                                                               abs=1e-15)
+        report = cross_potential_bound(gram)
+        assert report.value == pytest.approx(squares, abs=1e-15)
+        assert report.bound == 2.0
+        report, const_diag = pth_cross_report(gram, 2.0)
+        assert report.value == pytest.approx(fourth, abs=1e-15)
+        assert report.bound == pytest.approx(pth_bound(2, 3, 2.0), abs=1e-15)
+        assert const_diag
+
+    def test_frame_potential_is_the_self_pair_cross_potential(self, trident):
+        assert frame_potential(trident) == \
+            cross_frame_potential(cross_gramian(trident, trident))
 
 
 class TestDiagonalSum:
@@ -112,27 +147,27 @@ class TestDiagonalSum:
 
 class TestPthPotential:
     def test_p_one_recovers_the_plain_cross_potential(self, trident):
-        dual = canonical_dual(trident)
-        assert pth_cross_potential(trident, dual, 1.0) == pytest.approx(
-            cross_frame_potential(trident, dual), abs=1e-12)
+        gram = cross_gramian(trident, canonical_dual(trident))
+        assert pth_cross_potential(gram, 1.0) == pytest.approx(
+            cross_frame_potential(gram), abs=1e-12)
 
     def test_mercedes_pair_attains_the_pth_bound(self, mercedes):
-        dual = canonical_dual(mercedes)
+        gram = cross_gramian(mercedes, canonical_dual(mercedes))
         for p in (1.0, 1.5, 2.0, 3.0):
-            value = pth_cross_potential(mercedes, dual, p)
+            value = pth_cross_potential(gram, p)
             bound = pth_bound(2, 3, p)
             assert value >= bound - 1e-12
-        assert pth_cross_potential(mercedes, dual, 2.0) == pytest.approx(
+        assert pth_cross_potential(gram, 2.0) == pytest.approx(
             2 / 3, abs=1e-12)
         assert pth_bound(2, 3, 2.0) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_report_flags_non_constant_diagonal(self, trident):
-        report, const_diag = pth_cross_report(trident, canonical_dual(trident),
-                                              2.0)
-        assert not const_diag
         report, const_diag = pth_cross_report(
-            make_frame(np.eye(2) * 2.0), canonical_dual(make_frame(np.eye(2) * 2.0)),
-            2.0)
+            cross_gramian(trident, canonical_dual(trident)), 2.0)
+        assert not const_diag
+        scaled = make_frame(np.eye(2) * 2.0)
+        report, const_diag = pth_cross_report(
+            cross_gramian(scaled, canonical_dual(scaled)), 2.0)
         assert const_diag
 
     def test_domain_errors(self):
@@ -142,7 +177,7 @@ class TestPthPotential:
             pth_bound(3, 2, 2.0)
         f = make_frame(np.eye(2))
         with pytest.raises(DomainError):
-            pth_cross_potential(f, f, 0.0)
+            pth_cross_potential(cross_gramian(f, f), 0.0)
 
     def test_single_vector_bound_is_the_dimension(self):
         assert pth_bound(1, 1, 3.0) == pytest.approx(1.0)
