@@ -5,9 +5,10 @@ table; ``structured`` is one line of space-separated ``key=value`` pairs
 per record, with a stable field order and all floats printed to 9 decimal
 places, so downstream scripts can parse it and byte-compare runs.
 
-Exit codes: 0 success, 2 for input or validation problems (bad files,
-non-frames, non-duals, shape clashes, numerically singular frame
-operators), 1 for solver or internal failure.
+Exit codes: 0 success, 1 when the solver fails (``SolverFailure``), 2 for
+every other library error (``FrameError``: bad files, non-frames, non-duals,
+shape clashes, numerically singular frame operators, ...) and for files the
+operating system cannot open (``OSError``).  Each prints one stderr line.
 """
 from __future__ import annotations
 
@@ -29,20 +30,9 @@ from .core import (
     is_dual,
     make_frame,
 )
-from .errors import (
-    DomainError,
-    EmptySubspace,
-    FrameError,
-    FrameFileError,
-    NotADual,
-    NotAFrame,
-    NotAFusionFrame,
-    NotUnitary,
-    ShapeError,
-    ShapeMismatch,
-    SingularOperator,
-)
+from .errors import DomainError, FrameError, NotADual, SolverFailure
 from .grassmannian import (
+    CLUSTER_TOL,
     SolverConfig,
     conjecture_harness,
     exclusivity_probe,
@@ -53,22 +43,6 @@ from .suite import run_suite
 
 # (n, k) pairs probed when harness is run without --frame.
 HARNESS_PAIRS = ((2, 3), (2, 4), (3, 4), (3, 5))
-
-_INPUT_ERRORS = (
-    FrameFileError,
-    NotAFrame,
-    NotADual,
-    ShapeError,
-    ShapeMismatch,
-    DomainError,
-    NotUnitary,
-    NotAFusionFrame,
-    EmptySubspace,
-    SingularOperator,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
 
 
 def _fmt(value) -> str:
@@ -230,7 +204,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_grassmannian(args) -> int:
     frame = load_frame(args.frame)
-    cluster_tol = args.tol if args.tol is not None else 1e-5
+    cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
     config = SolverConfig(seed=args.seed, cluster_tol=cluster_tol)
     result = minimize_mu(frame, config)
     exclusive = exclusivity_probe(frame, result, cluster_tol=cluster_tol)
@@ -364,7 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "grassmannian", help="minimise mu over the dual family")
     p.add_argument("--frame", required=True, metavar="PATH")
     p.add_argument("--tol", type=float, metavar="REAL",
-                   help="cluster tolerance for the exclusivity probe")
+                   help="max-norm distance within which near-minimisers "
+                        "count as one, for the exclusivity verdict "
+                        f"(default {CLUSTER_TOL:g})")
     p.add_argument("--seed", type=int, default=0, metavar="INT")
     _add_format(p)
     p.set_defaults(handler=_cmd_grassmannian)
@@ -404,12 +380,9 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except _INPUT_ERRORS as exc:
+    except (FrameError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except FrameError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, SolverFailure) else 2
 
 
 def main() -> None:

@@ -105,6 +105,9 @@ def make_frame(matrix) -> Frame:
     ------
     ShapeError
         If the matrix is not 2-D or has fewer columns than rows.
+    DomainError
+        If n * sigma_max^4, which bounds every potential of the frame, is
+        not a finite float.
     NotAFrame
         If the columns do not span, judged against RANK_RTOL * sigma_max.
     """
@@ -115,6 +118,9 @@ def make_frame(matrix) -> Frame:
     if k < n:
         raise ShapeError(f"fewer vectors ({k}) than dimensions ({n})")
     sigma = np.linalg.svd(m, compute_uv=False)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(n * sigma[0] ** 4):
+            raise DomainError("entries too large: n * sigma_max^4 overflows")
     if sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]:
         raise NotAFrame("vectors do not span the ambient space")
     return Frame(m)
@@ -274,7 +280,7 @@ class DualFamily:
         synth = self.base.synthesis + l @ self.null_basis.conj().T
         return Frame(synth)
 
-    def parameter_of(self, other: Frame, tol: float = 1e-9) -> np.ndarray | None:
+    def parameter_of(self, other: Frame, tol: float = DUAL_TOL) -> np.ndarray | None:
         """Recover L with dual(L) == other, or None if other is outside."""
         _check_same_space(self.frame, other)
         l = (other.synthesis - self.base.synthesis) @ self.null_basis

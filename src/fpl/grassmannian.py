@@ -16,6 +16,7 @@ import scipy.optimize
 
 from .core import (
     COMPLEX,
+    DUAL_TOL,
     RANK_RTOL,
     REAL,
     DualFamily,
@@ -30,6 +31,20 @@ from .potentials import max_offdiagonal, welch_constant
 
 # Conjectured coherence floor is tested with this slack.
 VIOLATION_TOL = 1e-9
+# Near-minimisers closer than this in max norm count as one minimiser.
+CLUSTER_TOL = 1e-5
+# Random LP objectives over the optimal face: minimize_mu, exclusivity_probe.
+N_FACE_PROBES = 8
+PROBE_FACE_PROBES = 16
+# Seed of the generator exclusivity_probe draws from.
+PROBE_SEED = 17
+# Random directions tried along the active constraints' flat subspace.
+N_FLAT_DIRS = 8
+# Complex path: starts (the origin plus random ones), surrogate sharpness
+# stages and the Nelder-Mead budget of the final polish.
+N_STARTS = 4
+ETA_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
+POLISH_MAXFEV = 20000
 # Harness work arrays are capped at this many bytes per chunk.
 HARNESS_CHUNK_BYTES = 32 << 20
 
@@ -80,15 +95,11 @@ def minmax_problem(frame: Frame) -> MinMaxProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the min-max search."""
+    """Settings for the min-max search; its fixed budgets are the module
+    constants above."""
 
-    opt_tol: float = 1e-8
-    cluster_tol: float = 1e-5
-    n_face_probes: int = 8
-    n_starts: int = 4
-    eta_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
-    polish_maxfev: int = 20000
     seed: int = 0
+    cluster_tol: float = CLUSTER_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +172,7 @@ def _face_candidates(problem: MinMaxProblem, t_star: float,
 
 def _flat_directions_increase(problem: MinMaxProblem, t_star: float,
                               l_star: np.ndarray,
-                              rng: np.random.Generator,
-                              n_dirs: int = 8) -> bool:
+                              rng: np.random.Generator) -> bool:
     """Check mu grows strictly along directions that keep the active
     constraints flat; True means no flat escape direction was found."""
     values = problem.entries(l_star)
@@ -187,7 +197,7 @@ def _flat_directions_increase(problem: MinMaxProblem, t_star: float,
         return True
     delta = 1e-5 * max(1.0, float(np.max(np.abs(l_star))))
     floor = t_star + 1e-10 * max(1.0, t_star)
-    for _ in range(n_dirs):
+    for _ in range(N_FLAT_DIRS):
         w = rng.standard_normal(null.shape[0])
         v = w @ null
         v = v / np.linalg.norm(v)
@@ -218,7 +228,7 @@ def _surrogate_value_grad(x: np.ndarray, eta: float, offsets: np.ndarray,
     return value, grad
 
 
-def _minimize_complex(problem: MinMaxProblem, config: SolverConfig,
+def _minimize_complex(problem: MinMaxProblem, cluster_tol: float,
                       rng: np.random.Generator
                       ) -> tuple[float, np.ndarray, list[np.ndarray]]:
     m = problem.m
@@ -227,13 +237,13 @@ def _minimize_complex(problem: MinMaxProblem, config: SolverConfig,
         return problem.mu(x[:m] + 1j * x[m:])
 
     starts = [np.zeros(2 * m)]
-    for _ in range(max(0, config.n_starts - 1)):
+    for _ in range(N_STARTS - 1):
         starts.append(rng.standard_normal(2 * m))
     finals: list[tuple[float, np.ndarray]] = []
     for x0 in starts:
         x = x0
         try:
-            for eta in config.eta_schedule:
+            for eta in ETA_SCHEDULE:
                 res = scipy.optimize.minimize(
                     _surrogate_value_grad, x,
                     args=(eta, problem.offsets, problem.rows),
@@ -243,16 +253,27 @@ def _minimize_complex(problem: MinMaxProblem, config: SolverConfig,
             polish = scipy.optimize.minimize(
                 mu_of, x, method="Nelder-Mead",
                 options={"xatol": 1e-12, "fatol": 1e-14,
-                         "maxfev": config.polish_maxfev})
+                         "maxfev": POLISH_MAXFEV})
             x = polish.x
         except (ValueError, FloatingPointError) as exc:
             raise SolverFailure(f"surrogate descent failed: {exc}") from exc
         finals.append((mu_of(x), x))
     finals.sort(key=lambda pair: pair[0])
     best_mu, best_x = finals[0]
-    near = [x for mu, x in finals if mu <= best_mu + config.cluster_tol]
+    near = [x for mu, x in finals if mu <= best_mu + cluster_tol]
     cands = [x[:m] + 1j * x[m:] for x in near]
     return best_mu, best_x[:m] + 1j * best_x[m:], cands
+
+
+def _verdict(problem: MinMaxProblem, t_star: float, l_star: np.ndarray,
+             points: list[np.ndarray], cluster_tol: float,
+             rng: np.random.Generator) -> tuple[list[np.ndarray], bool]:
+    """Cluster the near-minimisers; exclusive when they form one cluster
+    and no flat direction at ``l_star`` keeps mu at ``t_star``."""
+    reps = _cluster(points, cluster_tol)
+    exclusive = len(reps) == 1 and _flat_directions_increase(
+        problem, t_star, l_star, rng)
+    return reps, exclusive
 
 
 def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResult:
@@ -273,19 +294,13 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResul
                             candidate_minimizers=(params,),
                             exclusive_within_tol=True, problem=problem)
     if frame.field == REAL:
-        t_star, l_star = _solve_epigraph_lp(problem.offsets, problem.rows)
-        points = _face_candidates(problem, t_star, l_star,
-                                  config.n_face_probes, rng)
-        reps = _cluster(points, config.cluster_tol)
-        exclusive = len(reps) == 1 and _flat_directions_increase(
-            problem, t_star, l_star, rng)
-        mu_min = t_star
-        best = l_star
+        mu_min, best = _solve_epigraph_lp(problem.offsets, problem.rows)
+        points = _face_candidates(problem, mu_min, best, N_FACE_PROBES, rng)
     else:
-        mu_min, best, cands = _minimize_complex(problem, config, rng)
-        reps = _cluster(cands, config.cluster_tol)
-        exclusive = len(reps) == 1 and _flat_directions_increase(
-            problem, mu_min, best, rng)
+        mu_min, best, points = _minimize_complex(problem, config.cluster_tol,
+                                                 rng)
+    reps, exclusive = _verdict(problem, mu_min, best, points,
+                               config.cluster_tol, rng)
     params = np.reshape(best, problem.family.param_shape)
     return SearchResult(
         mu_min=float(mu_min),
@@ -299,8 +314,7 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResul
 
 
 def exclusivity_probe(frame: Frame, result: SearchResult,
-                      n_probes: int = 16,
-                      cluster_tol: float = 1e-5) -> bool:
+                      cluster_tol: float = CLUSTER_TOL) -> bool:
     """Numerical evidence that the minimiser is unique.
 
     True only when fresh restarts (LP face probes over the reals, random
@@ -311,24 +325,20 @@ def exclusivity_probe(frame: Frame, result: SearchResult,
     if frame.k == frame.n:
         return True
     problem = result.problem
-    rng = np.random.default_rng(n_probes + 1)
+    rng = np.random.default_rng(PROBE_SEED)
     l_star = np.ravel(result.minimizer_params)
     t_star = result.mu_min
     points = [np.ravel(c) for c in result.candidate_minimizers]
     if frame.field == REAL:
-        points.extend(_face_candidates(problem, t_star, l_star, n_probes, rng))
+        points += _face_candidates(problem, t_star, l_star, PROBE_FACE_PROBES,
+                                   rng)
     else:
-        config = SolverConfig(n_starts=max(2, n_probes // 4),
-                              cluster_tol=cluster_tol, seed=7)
-        _, _, cands = _minimize_complex(problem, config, rng)
-        points.extend(cands)
-    if len(_cluster(points, cluster_tol)) > 1:
-        return False
-    return _flat_directions_increase(problem, t_star, l_star, rng)
+        points += _minimize_complex(problem, cluster_tol, rng)[2]
+    return _verdict(problem, t_star, l_star, points, cluster_tol, rng)[1]
 
 
 def grassmannian_gap(frame: Frame, other: Frame, result: SearchResult,
-                     tol: float = 1e-9) -> float:
+                     tol: float = DUAL_TOL) -> float:
     """mu(Gr(F, H))^2 - mu_min^2, for any dual H; nonnegative up to slack."""
     if not is_dual(frame, other, tol):
         raise NotADual("the gap is defined for dual pairs only")

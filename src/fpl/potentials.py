@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import CrossGramian, Frame, cross_gramian, is_dual
+from .core import DUAL_TOL, CrossGramian, Frame, cross_gramian, is_dual
 from .errors import DomainError, NotADual
 
 # Slack allowed on inequalities of the form value >= bound.
@@ -72,7 +72,7 @@ def cross_frame_potential(gram: CrossGramian) -> float:
 
 
 def cross_potential_bound(gram: CrossGramian,
-                          tol: float = 1e-9) -> PotentialReport:
+                          tol: float = DUAL_TOL) -> PotentialReport:
     """Cross potential of a dual pair against its lower bound n.
 
     Equality characterises the canonical dual.  Raises NotADual when the

@@ -28,7 +28,6 @@ from .io import frame_from_payload, fusion_from_payload
 
 VALUE_TOL = 1e-9
 SEARCH_TOL = 1e-6
-SUBSPACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -203,14 +202,14 @@ def run_suite() -> list[CheckResult]:
         dual = fu.canonical_dual_fusion(ff)
         s.scalar(f"fusion-cross-dual-{key}",
                  fu.cross_fusion_potential(ff, dual), want["cross_dual"])
-        matches = all(fu.subspaces_equal(w, q, SUBSPACE_TOL)
+        matches = all(fu.subspaces_equal(w, q)
                       for w, q in zip(ff.subspaces, dual.subspaces))
         s.flag(f"fusion-dual-self-{key}", matches, want["dual_equals_self"])
         if "dual_projection_rows" in want:
             for i, rows in enumerate(want["dual_projection_rows"]):
                 s.matrix(f"fusion-dual-span-{key}-{i}",
                          dual.subspaces[i].projection(), np.array(rows),
-                         tol=SUBSPACE_TOL)
+                         tol=fu.SUBSPACE_TOL)
         if "orthonormal_basis" in want:
             s.flag(f"fusion-orthonormal-basis-{key}",
                    fu.is_orthonormal_fusion_basis(ff),

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fpl
-from fpl import cli
+from fpl import cli, errors
 from fpl.cli import run
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
 from fpl.grassmannian import conjecture_harness
@@ -407,6 +408,47 @@ class TestDiagnosticsAndExitCodes:
         assert invoke(capsys, )[0] == 2
         assert invoke(capsys, "potential")[0] == 2
         assert invoke(capsys, "potential", "--no-such-flag")[0] == 2
+
+    @pytest.mark.parametrize("verb", ["potential", "cross", "dual"])
+    def test_entries_whose_potential_overflows(self, capsys, tmp_path, verb):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({
+            "field": "real", "n": 2, "k": 3,
+            "vectors": [[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]]}))
+        argv = [verb, "--frame", str(huge)]
+        if verb == "cross":
+            argv += ["--other", str(huge)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: DomainError: "
+                       "entries too large: n * sigma_max^4 overflows\n")
+
+    @pytest.mark.parametrize("cls", [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.FrameError)])
+    def test_exit_code_follows_the_exception_class(self, capsys, monkeypatch,
+                                                   cls):
+        def fail(path):
+            raise cls("reason")
+
+        monkeypatch.setattr(cli, "load_frame", fail)
+        code, out, err = invoke(capsys, "potential", "--frame", "any.json")
+        assert code == (1 if cls is errors.SolverFailure else 2)
+        assert out == ""
+        assert err == f"error: {cls.__name__}: reason\n"
+
+    def test_path_through_a_regular_file(self, capsys, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        code, out, err = invoke(capsys, "potential", "--frame",
+                                str(plain / "x"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: NotADirectoryError:")
+        assert err.count("\n") == 1
 
 
 class TestParserReuse:

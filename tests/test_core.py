@@ -30,6 +30,7 @@ from fpl.errors import (
 )
 
 import fpl
+from fpl.potentials import frame_potential
 from conftest import random_frame_matrix
 
 
@@ -75,6 +76,17 @@ class TestConstruction:
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(DomainError):
             make_frame([[bad, 0.0, 1.0], [0.0, 1.0, 1.0]])
+
+    def test_rejects_entries_whose_potentials_overflow(self):
+        # sigma_max = sqrt(3) s, so n sigma_max^4 = 18 s^4: finite at
+        # s = 1e76, beyond the largest float at s = 1e77.
+        m = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        f = make_frame(1e76 * m)
+        assert np.isfinite(frame_potential(f))
+        with pytest.raises(DomainError, match="n \\* sigma_max\\^4"):
+            make_frame(1e77 * m)
+        with pytest.raises(DomainError):
+            make_frame(1e200j * m)
 
     def test_rank_check_is_relative_to_scale(self):
         m = 1e-12 * np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
