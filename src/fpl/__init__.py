@@ -6,10 +6,10 @@ import types
 
 # A threaded BLAS is no faster on matrices of the sizes fpl handles, and its
 # worker threads, which spin on after every call, slow each call several
-# fold whenever another process wants the cores.  fpl parallelises only in
-# the harness, with its own pool (FPL_THREADS).  So OpenBLAS runs one thread
-# unless the environment says otherwise; this holds only when numpy is first
-# imported through fpl.
+# fold whenever another process wants the cores.  fpl parallelises only
+# harness chunks and face-probe LPs, with its own pool (FPL_THREADS).  So
+# OpenBLAS runs one thread unless the environment says otherwise; this holds
+# only when numpy is first imported through fpl.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core import (

@@ -206,8 +206,10 @@ def _cmd_grassmannian(args) -> int:
     frame = load_frame(args.frame)
     cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
     config = SolverConfig(seed=args.seed, cluster_tol=cluster_tol)
-    result = minimize_mu(frame, config)
-    exclusive = exclusivity_probe(frame, result, cluster_tol=cluster_tol)
+    threads = _threads_from_env()
+    result = minimize_mu(frame, config, threads)
+    exclusive = exclusivity_probe(frame, result, cluster_tol=cluster_tol,
+                                  threads=threads)
     _emit([[("mu_min", result.mu_min), ("exclusive", exclusive),
             ("family_dim", result.family_dim)]], args.format)
     return 0

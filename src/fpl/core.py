@@ -27,6 +27,10 @@ RANK_RTOL = 1e-10
 TIGHT_TOL = 1e-9
 # Max-norm tolerance on F H* - I for duality checks.
 DUAL_TOL = 1e-9
+# eigvalsh's rounding error on S = F F* is about n * eps * lambda_max; a
+# smallest eigenvalue below this many times that has no reliable sign, so
+# canonical_dual counts S as singular.
+SINGULAR_ROUNDING_FACTOR = 100.0
 
 REAL = "real"
 COMPLEX = "complex"
@@ -159,7 +163,8 @@ def is_tight(frame: Frame, tol: float = TIGHT_TOL) -> bool:
 def canonical_dual(frame: Frame) -> Frame:
     """The dual with synthesis S^{-1} F, the minimal-coefficient dual."""
     op = frame_operator(frame)
-    if not np.isfinite(op.lower) or op.lower <= 0.0:
+    floor = SINGULAR_ROUNDING_FACTOR * frame.n * np.finfo(float).eps * op.upper
+    if not np.isfinite(op.lower) or op.lower <= floor:
         raise SingularOperator("frame operator is numerically singular")
     try:
         dual = np.linalg.solve(op.matrix, frame.synthesis)

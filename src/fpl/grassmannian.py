@@ -5,10 +5,18 @@ parameter L, so minimising the largest off-diagonal magnitude is a convex
 min-max problem.  Over the reals it is solved exactly as an epigraph linear
 program; over the complex field a smooth log-sum-exp surrogate is sharpened
 along an eta schedule and then polished on the true objective.
+
+The real path's face probes are independent LPs.  ``threads`` runs them on
+the calling thread plus ``threads - 1`` persistent pool workers (one pool
+per worker count, shared with the harness); every objective is drawn
+before any probe runs and results are kept in input order, so the outcome
+does not depend on ``threads``.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +126,54 @@ class SearchResult:
         return self.problem.family.dim
 
 
+@functools.cache
+def _worker_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, created on first use and
+    kept: each thread that has run HiGHS holds a few MB, so fresh threads
+    per call would add memory as well as start-up time."""
+    return concurrent.futures.ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="fpl")
+
+
+def _parallel_map(fn, items, threads: int | None) -> list:
+    """``[fn(x) for x in items]``, on the calling thread plus ``threads - 1``
+    pool workers; inline when ``threads`` is None or 1.
+
+    Items are handed out in order and results kept in input order.  After
+    an error no further item is handed out, and the error of the earliest
+    failing item is raised, as the inline loop would raise it.
+    """
+    items = list(items)
+    if not threads or threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while not errors:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, on the caller
+                errors[i] = exc
+
+    futures = [_worker_pool(threads - 1).submit(drain)
+               for _ in range(threads - 1)]
+    drain()
+    # A worker that has not started would find nothing left to do.
+    for f in futures:
+        if not f.cancel():
+            f.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     reps: list[np.ndarray] = []
     for p in points:
@@ -158,16 +214,19 @@ def _face_probe(offsets: np.ndarray, rows: np.ndarray, t_cap: float,
 
 def _face_candidates(problem: MinMaxProblem, t_star: float,
                      l_star: np.ndarray, n_probes: int,
-                     rng: np.random.Generator) -> list[np.ndarray]:
-    """Sample extreme points of the optimal face with random LP objectives."""
+                     rng: np.random.Generator,
+                     threads: int | None = None) -> list[np.ndarray]:
+    """Sample extreme points of the optimal face with random LP objectives.
+
+    All objectives are drawn first, so ``rng`` advances as in a sequential
+    loop whatever ``threads`` is.
+    """
     t_cap = t_star + 1e-9 * max(1.0, t_star)
-    points = [l_star]
-    for _ in range(n_probes):
-        c = rng.standard_normal(problem.m)
-        x = _face_probe(problem.offsets, problem.rows, t_cap, c)
-        if x is not None:
-            points.append(x)
-    return points
+    objectives = [rng.standard_normal(problem.m) for _ in range(n_probes)]
+    found = _parallel_map(
+        lambda c: _face_probe(problem.offsets, problem.rows, t_cap, c),
+        objectives, threads)
+    return [l_star] + [x for x in found if x is not None]
 
 
 def _flat_directions_increase(problem: MinMaxProblem, t_star: float,
@@ -276,12 +335,15 @@ def _verdict(problem: MinMaxProblem, t_star: float, l_star: np.ndarray,
     return reps, exclusive
 
 
-def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResult:
+def minimize_mu(frame: Frame, config: SolverConfig | None = None,
+                threads: int | None = None) -> SearchResult:
     """Minimise the largest off-diagonal Gramian magnitude over all duals.
 
     Real frames are solved as an exact linear program; complex frames go
     through the smoothed surrogate.  The result carries every distinct
     near-minimiser found, as evidence for the exclusivity probe.
+    ``threads`` caps the threads that solve the real face probes; the
+    result does not depend on it.
     """
     config = config or SolverConfig()
     problem = minmax_problem(frame)
@@ -295,7 +357,8 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResul
                             exclusive_within_tol=True, problem=problem)
     if frame.field == REAL:
         mu_min, best = _solve_epigraph_lp(problem.offsets, problem.rows)
-        points = _face_candidates(problem, mu_min, best, N_FACE_PROBES, rng)
+        points = _face_candidates(problem, mu_min, best, N_FACE_PROBES, rng,
+                                  threads)
     else:
         mu_min, best, points = _minimize_complex(problem, config.cluster_tol,
                                                  rng)
@@ -314,13 +377,15 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None) -> SearchResul
 
 
 def exclusivity_probe(frame: Frame, result: SearchResult,
-                      cluster_tol: float = CLUSTER_TOL) -> bool:
+                      cluster_tol: float = CLUSTER_TOL,
+                      threads: int | None = None) -> bool:
     """Numerical evidence that the minimiser is unique.
 
     True only when fresh restarts (LP face probes over the reals, random
     surrogate restarts over the complex field) all land in one cluster and
     random moves along the active-constraint flat directions strictly
-    increase mu.  This is evidence, not a proof.
+    increase mu.  This is evidence, not a proof.  ``threads`` is as for
+    :func:`minimize_mu`.
     """
     if frame.k == frame.n:
         return True
@@ -331,7 +396,7 @@ def exclusivity_probe(frame: Frame, result: SearchResult,
     points = [np.ravel(c) for c in result.candidate_minimizers]
     if frame.field == REAL:
         points += _face_candidates(problem, t_star, l_star, PROBE_FACE_PROBES,
-                                   rng)
+                                   rng, threads)
     else:
         points += _minimize_complex(problem, cluster_tol, rng)[2]
     return _verdict(problem, t_star, l_star, points, cluster_tol, rng)[1]
@@ -481,11 +546,7 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     spans = [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
     args = [(n, k, t0, t1, seed, param_scale, field, frame_factory,
              max_counterexamples) for t0, t1 in spans]
-    if workers == 1 or len(spans) == 1:
-        parts = [_harness_chunk(*a) for a in args]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda a: _harness_chunk(*a), args))
+    parts = _parallel_map(lambda a: _harness_chunk(*a), args, workers)
     examples: list[tuple[np.ndarray, np.ndarray]] = []
     for p in parts:
         for ex in p["examples"]:

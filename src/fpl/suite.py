@@ -38,7 +38,9 @@ class CheckResult:
 
 
 def _data(name: str):
-    with resources.files("fpl.data").joinpath(name).open("r") as fh:
+    # Resolved from the package root, so a missing data directory is a
+    # FileNotFoundError (an input error), not a ModuleNotFoundError.
+    with (resources.files("fpl") / "data" / name).open("r") as fh:
         return json.load(fh)
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -227,6 +228,18 @@ class TestGrassmannianVerb:
                               paths["square"], "--format", "structured")
         assert code == 0
         assert out == "mu_min=0.000000000 exclusive=true family_dim=0\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_output_does_not_depend_on_threads(self, capsys, paths,
+                                               monkeypatch, threads):
+        monkeypatch.setenv("FPL_THREADS", threads)
+        for name, want in (
+                ("trident", "mu_min=0.333333333 exclusive=true family_dim=2\n"),
+                ("square", "mu_min=0.000000000 exclusive=true family_dim=0\n")):
+            code, out, _ = invoke(capsys, "grassmannian", "--frame",
+                                  paths[name], "--format", "structured")
+            assert code == 0
+            assert out == want
 
 
 class TestFusionVerb:
@@ -514,3 +527,16 @@ class TestPaperSuiteVerb:
         assert len(fails) == 1
         total = len(lines) - 2  # header and summary line
         assert lines[-1] == f"{total - 1}/{total} checks reproduced"
+
+    def test_missing_data_directory_is_an_input_error(self, tmp_path):
+        # An installed copy of the package without its data directory.
+        shutil.copytree(Path(fpl.__file__).resolve().parent, tmp_path / "fpl",
+                        ignore=shutil.ignore_patterns("data", "__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        proc = subprocess.run([sys.executable, "-m", "fpl.cli", "paper-suite"],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: FileNotFoundError:")
+        assert proc.stderr.count("\n") == 1

@@ -147,6 +147,25 @@ class TestCanonicalDual:
         with pytest.raises(SingularOperator):
             canonical_dual(bad)
 
+    def test_near_singular_verdict_does_not_follow_rounding(self):
+        # sigma_min / sigma_max = 3e-10 passes make_frame, but S's smallest
+        # eigenvalue, 9e-20, lies far below eigvalsh's rounding of about
+        # 1e-16, whose sign varies with the rotation.  Every rotation must
+        # get the same verdict.
+        sigma = np.diag([1.0, 1e-4, 3e-10])
+        verdicts = set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            right = np.linalg.qr(rng.standard_normal((5, 3)))[0].T
+            f = make_frame(left @ sigma @ right)
+            try:
+                canonical_dual(f)
+                verdicts.add("dual")
+            except SingularOperator:
+                verdicts.add("singular")
+        assert verdicts == {"singular"}
+
 
 class TestIsDual:
     def test_accepts_published_alternate_dual(self, trident, trident_flat_dual):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -156,6 +160,164 @@ class TestExclusivityProbe:
         result = minimize_mu(trident)
         assert exclusivity_probe(trident, result) == \
             exclusivity_probe(trident, result)
+
+
+def _search_frame(name, trident):
+    if name == "trident":
+        return trident
+    if name == "flat-face":
+        return make_frame(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+    if name == "square":
+        return make_frame(random_frame_matrix(np.random.default_rng(4), 3, 3,
+                                              "real"))
+    n, k, seed = {"random-4x8": (4, 8, 3), "random-6x12": (6, 12, 0)}[name]
+    return make_frame(random_frame_matrix(np.random.default_rng(seed), n, k,
+                                          "real"))
+
+
+SEARCH_FRAMES = ["random-4x8", "random-6x12", "flat-face", "trident",
+                 "square"]
+
+
+def _search_outcome(frame, threads):
+    result = minimize_mu(frame, threads=threads)
+    return result, exclusivity_probe(frame, result, threads=threads)
+
+
+def _assert_same_search(got, want):
+    (res, probe), (ref, ref_probe) = got, want
+    assert res.mu_min == ref.mu_min
+    np.testing.assert_array_equal(res.minimizer_params, ref.minimizer_params)
+    assert len(res.candidate_minimizers) == len(ref.candidate_minimizers)
+    for a, b in zip(res.candidate_minimizers, ref.candidate_minimizers):
+        np.testing.assert_array_equal(a, b)
+    assert res.exclusive_within_tol == ref.exclusive_within_tol
+    assert probe == ref_probe
+
+
+class _SlowDraws:
+    """A generator whose odd-numbered draws sleep first, so that draws
+    made from several threads would reach it out of order."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._draws = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self._draws += 1
+        if self._draws % 2:
+            time.sleep(0.003)
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+class TestThreadedFaceProbes:
+    """The face probes give the same search whatever ``threads`` is."""
+
+    @pytest.mark.parametrize("name", SEARCH_FRAMES)
+    def test_threads_do_not_change_the_search(self, trident, name):
+        frame = _search_frame(name, trident)
+        want = _search_outcome(frame, None)
+        for threads in (1, 2, 3):
+            _assert_same_search(_search_outcome(frame, threads), want)
+
+    def test_nonexclusive_frames_are_covered(self, trident):
+        # The order check above bites only where the probes find several
+        # distinct minimisers.
+        frame = _search_frame("random-4x8", trident)
+        assert len(minimize_mu(frame).candidate_minimizers) > 2
+
+    @pytest.mark.parametrize("name", SEARCH_FRAMES)
+    def test_a_failed_probe_is_skipped_the_same_way(self, monkeypatch,
+                                                    trident, name):
+        frame = _search_frame(name, trident)
+        m = minmax_problem(frame).m
+        # the third objective minimize_mu draws (seed 0)
+        dropped = [np.random.default_rng(0).standard_normal(m)
+                   for _ in range(3)][-1]
+        original = grassmannian._face_probe
+        misses = []
+
+        def failing(offsets, rows, t_cap, objective):
+            if np.array_equal(objective, dropped):
+                misses.append(1)
+                return None
+            return original(offsets, rows, t_cap, objective)
+
+        monkeypatch.setattr(grassmannian, "_face_probe", failing)
+        want = _search_outcome(frame, None)
+        expected_misses = 0 if frame.k == frame.n else 1
+        assert len(misses) == expected_misses
+        for threads in (1, 2, 3):
+            _assert_same_search(_search_outcome(frame, threads), want)
+        assert len(misses) == 4 * expected_misses
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_face_points_keep_the_draw_order(self, monkeypatch, threads):
+        # Probes that finish out of order and draws that would reach the
+        # generator out of order must not move any point.
+        frame = make_frame(random_frame_matrix(np.random.default_rng(0), 3, 6,
+                                               "real"))
+        result = minimize_mu(frame)
+        args = (result.problem, result.mu_min,
+                np.ravel(result.minimizer_params), 8)
+        want = grassmannian._face_candidates(*args, _SlowDraws(1))
+        assert len({p.tobytes() for p in want}) == len(want) == 9
+        original = grassmannian._face_probe
+
+        def jittered(offsets, rows, t_cap, objective):
+            time.sleep(0.004 if objective[0] > 0 else 0.0)
+            return original(offsets, rows, t_cap, objective)
+
+        monkeypatch.setattr(grassmannian, "_face_probe", jittered)
+        got = grassmannian._face_candidates(*args, _SlowDraws(1), threads)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestParallelMap:
+    def test_results_keep_input_order_under_contention(self):
+        items = list(range(2000))
+        seen = []
+
+        def square(i):
+            seen.append(i)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more threads than the machine has cores
+            got = grassmannian._parallel_map(square, items, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in items]
+        assert sorted(seen) == items
+
+    @pytest.mark.parametrize("threads", [None, 1, 3])
+    def test_earliest_failure_is_raised(self, threads):
+        def fail_on_5_and_9(i):
+            if i in (5, 9):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="^item 5$"):
+            grassmannian._parallel_map(fail_on_5_and_9, range(40), threads)
+
+    def test_workers_persist_across_calls(self):
+        grassmannian._parallel_map(time.sleep, [0.001] * 6, 3)
+        before = threading.active_count()
+        for _ in range(5):
+            grassmannian._parallel_map(time.sleep, [0.001] * 6, 3)
+        assert threading.active_count() == before
+        assert grassmannian._worker_pool(2) is grassmannian._worker_pool(2)
+
+    def test_inline_runs_on_the_calling_thread(self):
+        caller = threading.get_ident()
+        for threads in (None, 1):
+            got = grassmannian._parallel_map(
+                lambda _: threading.get_ident(), range(4), threads)
+            assert got == [caller] * 4
 
 
 class TestGap:
