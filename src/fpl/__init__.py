@@ -70,7 +70,6 @@ from .grassmannian import (
     HarnessSummary,
     MinMaxProblem,
     SearchResult,
-    SolverConfig,
     conjecture_harness,
     exclusivity_probe,
     grassmannian_gap,

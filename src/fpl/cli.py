@@ -33,7 +33,6 @@ from .core import (
 from .errors import DomainError, FrameError, NotADual, SolverFailure
 from .grassmannian import (
     CLUSTER_TOL,
-    SolverConfig,
     conjecture_harness,
     exclusivity_probe,
     minimize_mu,
@@ -106,6 +105,15 @@ def _threads_from_env() -> int | None:
     except ValueError as exc:
         raise DomainError(f"FPL_THREADS must be an integer, got {raw!r}") from exc
     return max(1, val)
+
+
+def _check_float_options(args) -> None:
+    """Every float option (``--tol``, ``--p``, ``--eta``, ``--alpha``) must
+    be a finite number >= 0; the library rejects the zeros it cannot use."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not 0.0 <= value < np.inf:
+            raise DomainError(
+                f"--{name} must be a finite number >= 0, got {value}")
 
 
 def _cmd_potential(args) -> int:
@@ -204,13 +212,12 @@ def _cmd_family(args) -> int:
 
 def _cmd_grassmannian(args) -> int:
     frame = load_frame(args.frame)
-    cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
-    config = SolverConfig(seed=args.seed, cluster_tol=cluster_tol)
-    threads = _threads_from_env()
-    result = minimize_mu(frame, config, threads)
-    exclusive = exclusivity_probe(frame, result, cluster_tol=cluster_tol,
-                                  threads=threads)
-    _emit([[("mu_min", result.mu_min), ("exclusive", exclusive),
+    result = minimize_mu(
+        frame, seed=args.seed,
+        cluster_tol=args.tol if args.tol is not None else CLUSTER_TOL,
+        threads=_threads_from_env())
+    _emit([[("mu_min", result.mu_min),
+            ("exclusive", exclusivity_probe(frame, result)),
             ("family_dim", result.family_dim)]], args.format)
     return 0
 
@@ -381,6 +388,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_float_options(args)
         return args.handler(args)
     except (FrameError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -6,11 +6,18 @@ min-max problem.  Over the reals it is solved exactly as an epigraph linear
 program; over the complex field a smooth log-sum-exp surrogate is sharpened
 along an eta schedule and then polished on the true objective.
 
-The real path's face probes are independent LPs.  ``threads`` runs them on
-the calling thread plus ``threads - 1`` persistent pool workers (one pool
-per worker count, shared with the harness); every objective is drawn
-before any probe runs and results are kept in input order, so the outcome
-does not depend on ``threads``.
+Whether the minimiser is exclusive is decided once per search, in
+:func:`minimize_mu`.  Over the reals, 24 face probes (random LP objectives
+over the near-optimal face: 8 drawn from the caller's seed, then 16 from
+``PROBE_SEED``) and over the complex field, two sets of surrogate restarts
+(one per generator) gather near-minimisers; the minimiser is exclusive when
+they form one cluster and no flat direction at it keeps mu at its minimum.
+:func:`exclusivity_probe` reads that verdict.
+
+The face probes are independent LPs.  ``threads`` runs them on the calling
+thread plus pool workers (one pool per worker count, shared with the
+harness); every objective is drawn before any probe runs and results are
+kept in input order, so the outcome does not depend on ``threads``.
 """
 from __future__ import annotations
 
@@ -41,10 +48,12 @@ from .potentials import max_offdiagonal, welch_constant
 VIOLATION_TOL = 1e-9
 # Near-minimisers closer than this in max norm count as one minimiser.
 CLUSTER_TOL = 1e-5
-# Random LP objectives over the optimal face: minimize_mu, exclusivity_probe.
+# Random LP objectives over the optimal face: N_FACE_PROBES drawn from the
+# caller's seed, then PROBE_FACE_PROBES from a generator seeded with
+# PROBE_SEED, which also draws the complex path's second set of restarts
+# and the flat directions.
 N_FACE_PROBES = 8
 PROBE_FACE_PROBES = 16
-# Seed of the generator exclusivity_probe draws from.
 PROBE_SEED = 17
 # Random directions tried along the active constraints' flat subspace.
 N_FLAT_DIRS = 8
@@ -101,15 +110,6 @@ def minmax_problem(frame: Frame) -> MinMaxProblem:
         rows=coeffs[~np.eye(k, dtype=bool)])
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings for the min-max search; its fixed budgets are the module
-    constants above."""
-
-    seed: int = 0
-    cluster_tol: float = CLUSTER_TOL
-
-
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of minimising mu over the dual family."""
@@ -136,15 +136,17 @@ def _worker_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
 
 
 def _parallel_map(fn, items, threads: int | None) -> list:
-    """``[fn(x) for x in items]``, on the calling thread plus ``threads - 1``
-    pool workers; inline when ``threads`` is None or 1.
+    """``[fn(x) for x in items]``, on the calling thread plus pool workers,
+    ``min(threads, len(items))`` threads in all; inline when that is 1 or
+    ``threads`` is None.
 
     Items are handed out in order and results kept in input order.  After
     an error no further item is handed out, and the error of the earliest
     failing item is raised, as the inline loop would raise it.
     """
     items = list(items)
-    if not threads or threads <= 1 or len(items) <= 1:
+    threads = min(threads or 1, len(items))
+    if threads <= 1:
         return [fn(x) for x in items]
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
@@ -213,16 +215,17 @@ def _face_probe(offsets: np.ndarray, rows: np.ndarray, t_cap: float,
 
 
 def _face_candidates(problem: MinMaxProblem, t_star: float,
-                     l_star: np.ndarray, n_probes: int,
-                     rng: np.random.Generator,
-                     threads: int | None = None) -> list[np.ndarray]:
-    """Sample extreme points of the optimal face with random LP objectives.
+                     l_star: np.ndarray, draws, threads: int | None = None
+                     ) -> list[np.ndarray]:
+    """Sample extreme points of the optimal face with random LP objectives,
+    ``count`` drawn from ``rng`` for each ``(rng, count)`` of ``draws``.
 
-    All objectives are drawn first, so ``rng`` advances as in a sequential
-    loop whatever ``threads`` is.
+    All objectives are drawn first, in that order, so each generator
+    advances as in a sequential loop whatever ``threads`` is.
     """
     t_cap = t_star + 1e-9 * max(1.0, t_star)
-    objectives = [rng.standard_normal(problem.m) for _ in range(n_probes)]
+    objectives = [rng.standard_normal(problem.m)
+                  for rng, count in draws for _ in range(count)]
     found = _parallel_map(
         lambda c: _face_probe(problem.offsets, problem.rows, t_cap, c),
         objectives, threads)
@@ -324,30 +327,22 @@ def _minimize_complex(problem: MinMaxProblem, cluster_tol: float,
     return best_mu, best_x[:m] + 1j * best_x[m:], cands
 
 
-def _verdict(problem: MinMaxProblem, t_star: float, l_star: np.ndarray,
-             points: list[np.ndarray], cluster_tol: float,
-             rng: np.random.Generator) -> tuple[list[np.ndarray], bool]:
-    """Cluster the near-minimisers; exclusive when they form one cluster
-    and no flat direction at ``l_star`` keeps mu at ``t_star``."""
-    reps = _cluster(points, cluster_tol)
-    exclusive = len(reps) == 1 and _flat_directions_increase(
-        problem, t_star, l_star, rng)
-    return reps, exclusive
-
-
-def minimize_mu(frame: Frame, config: SolverConfig | None = None,
+def minimize_mu(frame: Frame, *, seed: int = 0,
+                cluster_tol: float = CLUSTER_TOL,
                 threads: int | None = None) -> SearchResult:
     """Minimise the largest off-diagonal Gramian magnitude over all duals.
 
     Real frames are solved as an exact linear program; complex frames go
-    through the smoothed surrogate.  The result carries every distinct
-    near-minimiser found, as evidence for the exclusivity probe.
-    ``threads`` caps the threads that solve the real face probes; the
-    result does not depend on it.
+    through the smoothed surrogate.  The result carries the distinct
+    near-minimisers found (those within ``cluster_tol`` of one another
+    count as one) and the exclusivity verdict drawn from them.  The random
+    draws come from ``seed`` and ``PROBE_SEED``.  ``threads`` caps the
+    threads that solve the real face probes; the result does not depend
+    on it.
     """
-    config = config or SolverConfig()
+    if seed < 0:
+        raise DomainError(f"the seed must be >= 0, got {seed}")
     problem = minmax_problem(frame)
-    rng = np.random.default_rng(config.seed)
     if frame.k == frame.n:
         params = np.zeros(problem.family.param_shape,
                           dtype=frame.synthesis.dtype)
@@ -355,19 +350,22 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None,
                             minimizer_dual=problem.family.base,
                             candidate_minimizers=(params,),
                             exclusive_within_tol=True, problem=problem)
+    rng = np.random.default_rng(seed)
+    probe_rng = np.random.default_rng(PROBE_SEED)
     if frame.field == REAL:
         mu_min, best = _solve_epigraph_lp(problem.offsets, problem.rows)
-        points = _face_candidates(problem, mu_min, best, N_FACE_PROBES, rng,
-                                  threads)
+        points = _face_candidates(
+            problem, mu_min, best,
+            ((rng, N_FACE_PROBES), (probe_rng, PROBE_FACE_PROBES)), threads)
     else:
-        mu_min, best, points = _minimize_complex(problem, config.cluster_tol,
-                                                 rng)
-    reps, exclusive = _verdict(problem, mu_min, best, points,
-                               config.cluster_tol, rng)
-    params = np.reshape(best, problem.family.param_shape)
+        mu_min, best, points = _minimize_complex(problem, cluster_tol, rng)
+        points += _minimize_complex(problem, cluster_tol, probe_rng)[2]
+    reps = _cluster(points, cluster_tol)
+    exclusive = len(reps) == 1 and _flat_directions_increase(
+        problem, mu_min, best, probe_rng)
     return SearchResult(
         mu_min=float(mu_min),
-        minimizer_params=params,
+        minimizer_params=np.reshape(best, problem.family.param_shape),
         minimizer_dual=problem.dual(best),
         candidate_minimizers=tuple(np.reshape(r, problem.family.param_shape)
                                    for r in reps),
@@ -376,30 +374,16 @@ def minimize_mu(frame: Frame, config: SolverConfig | None = None,
     )
 
 
-def exclusivity_probe(frame: Frame, result: SearchResult,
-                      cluster_tol: float = CLUSTER_TOL,
-                      threads: int | None = None) -> bool:
-    """Numerical evidence that the minimiser is unique.
+def exclusivity_probe(frame: Frame, result: SearchResult) -> bool:
+    """Numerical evidence that the minimiser is unique: the verdict
+    :func:`minimize_mu` reached for ``frame``, read from ``result``.
 
-    True only when fresh restarts (LP face probes over the reals, random
-    surrogate restarts over the complex field) all land in one cluster and
-    random moves along the active-constraint flat directions strictly
-    increase mu.  This is evidence, not a proof.  ``threads`` is as for
-    :func:`minimize_mu`.
+    True only when every restart (LP face probes over the reals, surrogate
+    restarts over the complex field) landed in one cluster and random
+    moves along the active-constraint flat directions strictly increase
+    mu.  This is evidence, not a proof.
     """
-    if frame.k == frame.n:
-        return True
-    problem = result.problem
-    rng = np.random.default_rng(PROBE_SEED)
-    l_star = np.ravel(result.minimizer_params)
-    t_star = result.mu_min
-    points = [np.ravel(c) for c in result.candidate_minimizers]
-    if frame.field == REAL:
-        points += _face_candidates(problem, t_star, l_star, PROBE_FACE_PROBES,
-                                   rng, threads)
-    else:
-        points += _minimize_complex(problem, cluster_tol, rng)[2]
-    return _verdict(problem, t_star, l_star, points, cluster_tol, rng)[1]
+    return result.exclusive_within_tol
 
 
 def grassmannian_gap(frame: Frame, other: Frame, result: SearchResult,
@@ -540,6 +524,8 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
         raise DomainError("need k >= n >= 1")
     if trials < 1:
         raise DomainError("need at least one trial")
+    if seed < 0:
+        raise DomainError(f"the seed must be >= 0, got {seed}")
     workers = max(1, int(threads)) if threads else 1
     chunk = trials if workers == 1 else max(64, -(-trials // (workers * 4)))
     chunk = min(chunk, _chunk_trials(n, k, field))

@@ -18,6 +18,8 @@ from fpl.grassmannian import conjecture_harness
 from fpl.io import load_frame, save_frame, save_fusion_frame
 from fpl.potentials import max_offdiagonal, welch_constant
 
+from conftest import random_frame_matrix
+
 
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory, trident, trident_flat_dual, mercedes,
@@ -31,7 +33,13 @@ def paths(tmp_path_factory, trident, trident_flat_dual, mercedes,
                         ("trident_canon", canonical_dual(trident)),
                         ("bpd_canon", canonical_dual(basis_plus_diag)),
                         ("flipped", make_frame(-trident.synthesis)),
-                        ("square", make_frame(np.eye(3)))):
+                        ("square", make_frame(np.eye(3))),
+                        ("flat_face", make_frame(np.array(
+                            [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))),
+                        ("random_4x8_0", make_frame(random_frame_matrix(
+                            np.random.default_rng(0), 4, 8, "real"))),
+                        ("random_4x8_3", make_frame(random_frame_matrix(
+                            np.random.default_rng(3), 4, 8, "real")))):
         p = base / f"{name}.json"
         save_frame(frame, p)
         out[name] = str(p)
@@ -241,6 +249,34 @@ class TestGrassmannianVerb:
             assert code == 0
             assert out == want
 
+    # Recorded when minimize_mu and exclusivity_probe each reached a
+    # verdict, the probe's being the one printed.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name,options,want", [
+        ("flat_face", (), "mu_min=0.500000000 exclusive=false family_dim=2"),
+        ("random_4x8_3", (),
+         "mu_min=0.266195150 exclusive=false family_dim=16"),
+        ("random_4x8_3", ("--seed", "3", "--tol", "1e-3"),
+         "mu_min=0.266195150 exclusive=false family_dim=16"),
+        ("random_4x8_0", (),
+         "mu_min=0.299049341 exclusive=true family_dim=16"),
+        ("random_4x8_0", ("--seed", "3", "--tol", "1e-3"),
+         "mu_min=0.299049341 exclusive=true family_dim=16")])
+    def test_recorded_verdicts(self, capsys, paths, monkeypatch, threads,
+                               name, options, want):
+        monkeypatch.setenv("FPL_THREADS", threads)
+        code, out, err = invoke(capsys, "grassmannian", "--frame",
+                                paths[name], *options, "--format",
+                                "structured")
+        assert (code, out, err) == (0, want + "\n", "")
+
+    def test_recorded_text_table(self, capsys, paths):
+        code, out, _ = invoke(capsys, "grassmannian", "--frame",
+                              paths["flat_face"])
+        assert code == 0
+        assert out == ("mu_min       exclusive  family_dim\n"
+                       "0.500000000  false      2\n")
+
 
 class TestFusionVerb:
     def test_orthogonal_decomposition(self, capsys, paths):
@@ -416,6 +452,59 @@ class TestDiagnosticsAndExitCodes:
         assert out == ""
         assert err.startswith("error: FrameFileError:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,seed", [
+        (("grassmannian", "--frame", "trident", "--seed", "-1"), -1),
+        (("grassmannian", "--frame", "square", "--seed", "-1"), -1),
+        (("harness", "--seed", "-3"), -3),
+        (("harness", "--frame", "trident", "--seed", "-3"), -3)])
+    def test_negative_seed(self, capsys, paths, tmp_path, monkeypatch, argv,
+                           seed):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: DomainError: the seed must be >= 0, got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,option,value", [
+        (("cross", "--frame", "trident", "--other", "trident_canon"),
+         "--eta", "inf"),
+        (("cross", "--frame", "trident", "--other", "trident_canon"),
+         "--alpha", "inf"),
+        (("cross", "--frame", "trident", "--other", "trident_canon"),
+         "--p", "nan"),
+        (("cross", "--frame", "trident", "--other", "trident_canon"),
+         "--alpha", "nan"),
+        (("cross", "--frame", "trident", "--other", "trident_canon"),
+         "--tol", "nan"),
+        (("cross", "--frame", "trident", "--other", "trident_canon"),
+         "--eta", "-2"),
+        (("mu", "--frame", "trident"), "--eta", "nan"),
+        (("mu", "--frame", "trident"), "--eta", "-inf"),
+        (("grassmannian", "--frame", "trident"), "--tol", "nan"),
+        (("grassmannian", "--frame", "trident"), "--tol", "-1"),
+        (("grassmannian", "--frame", "trident"), "--tol", "inf"),
+        (("family", "--frame", "trident", "--other", "trident_canon"),
+         "--tol", "nan"),
+        (("fusion", "--fusion", "fusion_xy_z"), "--tol", "-1e-3")])
+    def test_float_options_must_be_finite_and_nonnegative(
+            self, capsys, paths, argv, option, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, *[paths.get(a, a) for a in argv],
+                                    f"{option}={value}")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: DomainError: {option} must be a finite "
+                       f"number >= 0, got {float(value)}\n")
+
+    def test_zero_options_reach_the_library_checks(self, capsys, paths):
+        code, out, err = invoke(capsys, "cross", "--frame", paths["trident"],
+                                "--other", paths["trident_canon"],
+                                "--eta", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: DomainError: eta must be positive\n"
 
     def test_usage_errors(self, capsys):
         assert invoke(capsys, )[0] == 2

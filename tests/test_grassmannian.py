@@ -4,13 +4,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from fpl import grassmannian
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
 from fpl.errors import DomainError, NotADual, NotAFrame
 from fpl.grassmannian import (
     VIOLATION_TOL,
-    SolverConfig,
     conjecture_harness,
     exclusivity_probe,
     grassmannian_gap,
@@ -161,6 +161,63 @@ class TestExclusivityProbe:
         assert exclusivity_probe(trident, result) == \
             exclusivity_probe(trident, result)
 
+    @pytest.mark.parametrize("name", ["trident", "flat-face", "twisted"])
+    def test_probe_reads_the_stored_verdict_without_solving(
+            self, monkeypatch, trident, name):
+        frame = (_phase_twisted(trident, [0.3, -1.1, 2.4]) if name == "twisted"
+                 else _search_frame(name, trident))
+        result = minimize_mu(frame)
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the probe must not solve again")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_solver)
+        monkeypatch.setattr(scipy.optimize, "minimize", no_solver)
+        assert exclusivity_probe(frame, result) is result.exclusive_within_tol
+
+    def test_all_face_probes_are_solved_in_one_batch(self, monkeypatch):
+        frame = make_frame(random_frame_matrix(np.random.default_rng(0), 3, 6,
+                                               "real"))
+        batches = []
+        original = grassmannian._parallel_map
+
+        def recorded(fn, items, threads):
+            items = list(items)
+            batches.append(len(items))
+            return original(fn, items, threads)
+
+        monkeypatch.setattr(grassmannian, "_parallel_map", recorded)
+        minimize_mu(frame, threads=2)
+        assert batches == [grassmannian.N_FACE_PROBES
+                           + grassmannian.PROBE_FACE_PROBES]
+
+    def test_clustering_is_prefix_stable(self):
+        # Why one clustering of all near-minimisers gives the verdict that
+        # clustering a first batch and then its representatives with a
+        # second batch gave.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            points = list(np.round(rng.standard_normal((30, 2)), 1))
+            cut = int(rng.integers(31))
+            once = grassmannian._cluster(points, 0.5)
+            twice = grassmannian._cluster(
+                grassmannian._cluster(points[:cut], 0.5) + points[cut:], 0.5)
+            assert len(once) == len(twice)
+            for a, b in zip(once, twice):
+                assert a is b
+
+    @pytest.mark.parametrize("name", ["trident", "square"])
+    def test_negative_seed_is_refused_before_any_work(self, monkeypatch,
+                                                      trident, name):
+        frame = _search_frame(name, trident)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(grassmannian, "minmax_problem", no_work)
+        with pytest.raises(DomainError, match="seed"):
+            minimize_mu(frame, seed=-1)
+
 
 def _search_frame(name, trident):
     if name == "trident":
@@ -181,7 +238,7 @@ SEARCH_FRAMES = ["random-4x8", "random-6x12", "flat-face", "trident",
 
 def _search_outcome(frame, threads):
     result = minimize_mu(frame, threads=threads)
-    return result, exclusivity_probe(frame, result, threads=threads)
+    return result, exclusivity_probe(frame, result)
 
 
 def _assert_same_search(got, want):
@@ -259,9 +316,13 @@ class TestThreadedFaceProbes:
                                                "real"))
         result = minimize_mu(frame)
         args = (result.problem, result.mu_min,
-                np.ravel(result.minimizer_params), 8)
-        want = grassmannian._face_candidates(*args, _SlowDraws(1))
-        assert len({p.tobytes() for p in want}) == len(want) == 9
+                np.ravel(result.minimizer_params))
+
+        def draws():
+            return ((_SlowDraws(1), 8), (_SlowDraws(4), 8))
+
+        want = grassmannian._face_candidates(*args, draws())
+        assert len({p.tobytes() for p in want}) == len(want) == 17
         original = grassmannian._face_probe
 
         def jittered(offsets, rows, t_cap, objective):
@@ -269,7 +330,7 @@ class TestThreadedFaceProbes:
             return original(offsets, rows, t_cap, objective)
 
         monkeypatch.setattr(grassmannian, "_face_probe", jittered)
-        got = grassmannian._face_candidates(*args, _SlowDraws(1), threads)
+        got = grassmannian._face_candidates(*args, draws(), threads)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
@@ -311,6 +372,14 @@ class TestParallelMap:
             grassmannian._parallel_map(time.sleep, [0.001] * 6, 3)
         assert threading.active_count() == before
         assert grassmannian._worker_pool(2) is grassmannian._worker_pool(2)
+
+    def test_threads_are_capped_by_the_item_count(self):
+        before = threading.active_count()
+        ran_on = grassmannian._parallel_map(
+            lambda _: (time.sleep(0.05), threading.get_ident())[1], range(3),
+            32)
+        assert threading.active_count() - before <= 2
+        assert len(set(ran_on)) <= 3
 
     def test_inline_runs_on_the_calling_thread(self):
         caller = threading.get_ident()
@@ -529,6 +598,14 @@ class TestHarness:
             conjecture_harness(3, 2, 10, seed=0)
         with pytest.raises(DomainError):
             conjecture_harness(2, 3, 0, seed=0)
+
+    def test_negative_seed_is_refused_before_any_trial(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(grassmannian, "_harness_chunk", no_work)
+        with pytest.raises(DomainError, match="seed"):
+            conjecture_harness(2, 3, 10, seed=-3)
 
 
 class TestFloorCounterexample:
