@@ -97,6 +97,9 @@ def _print_matrix(m: np.ndarray) -> None:
 
 
 def _threads_from_env() -> int | None:
+    """``FPL_THREADS`` as a thread count from 1 to the CPU count; None when
+    unset.  A larger value reads as the CPU count, as more threads than
+    cores only add start-up time and memory."""
     raw = os.environ.get("FPL_THREADS")
     if raw is None or not raw.strip():
         return None
@@ -104,7 +107,7 @@ def _threads_from_env() -> int | None:
         val = int(raw)
     except ValueError as exc:
         raise DomainError(f"FPL_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, val)
+    return max(1, min(val, os.cpu_count() or val))
 
 
 def _check_float_options(args) -> None:

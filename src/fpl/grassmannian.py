@@ -6,6 +6,12 @@ min-max problem.  Over the reals it is solved exactly as an epigraph linear
 program; over the complex field a smooth log-sum-exp surrogate is sharpened
 along an eta schedule and then polished on the true objective.
 
+Each real LP goes to HiGHS as its LP dual: m (+1) equality rows over 2q
+nonnegative columns instead of 2q inequality rows over m free columns, one
+matrix per frame shared by every LP.  The primal point is read back as the
+multiplier of the equality rows.  The LPs see the rows scaled by a power
+of two, so the result does not depend on the frame's scale.
+
 Whether the minimiser is exclusive is decided once per search, in
 :func:`minimize_mu`.  Over the reals, 24 face probes (random LP objectives
 over the near-optimal face: 8 drawn from the caller's seed, then 16 from
@@ -184,37 +190,54 @@ def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return reps
 
 
-def _solve_epigraph_lp(offsets: np.ndarray, rows: np.ndarray
-                       ) -> tuple[float, np.ndarray]:
-    """min t subject to |offsets + rows . l| <= t, exactly, via HiGHS."""
+def _dual_form(rows: np.ndarray) -> np.ndarray:
+    """The equality rows both real LPs share in dual form, built once per
+    frame: ``[rowsT, -rowsT]`` over a row of ones, (m + 1) x 2q."""
     q, m = rows.shape
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    ones = np.ones((q, 1))
-    a_ub = np.vstack([np.hstack([rows, -ones]), np.hstack([-rows, -ones])])
-    b_ub = np.concatenate([-offsets, offsets])
-    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub,
-                                 bounds=[(None, None)] * (m + 1),
-                                 method="highs")
+    a_eq = np.ones((m + 1, 2 * q))
+    a_eq[:m, :q] = rows.T
+    a_eq[:m, q:] = -rows.T
+    return a_eq
+
+
+def _solve_epigraph_lp(offsets: np.ndarray, a_eq: np.ndarray
+                       ) -> tuple[float, np.ndarray]:
+    """min t subject to |offsets + rows . l| <= t, exactly, via HiGHS.
+
+    Solved as its LP dual over y = (y+, y-) >= 0: minimise
+    ``-offsets . (y+ - y-)`` subject to ``rowsT (y+ - y-) = 0`` and
+    ``sum(y) = 1``.  Then t = -fun, and l is the multiplier of the m
+    ``rowsT`` equality rows.
+    """
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[-1] = 1.0
+    res = scipy.optimize.linprog(np.concatenate([-offsets, offsets]),
+                                 A_eq=a_eq, b_eq=b_eq, method="highs",
+                                 options={"presolve": False})
     if not res.success:
         raise SolverFailure(f"epigraph LP failed: {res.message}")
-    return float(res.x[-1]), res.x[:-1]
+    return -float(res.fun), res.eqlin.marginals[:-1]
 
 
-def _face_probe(offsets: np.ndarray, rows: np.ndarray, t_cap: float,
+def _face_probe(a_eq: np.ndarray, cost: np.ndarray,
                 objective: np.ndarray) -> np.ndarray | None:
-    """Optimise a linear objective over the (near-)optimal face."""
-    a_ub = np.vstack([rows, -rows])
-    b_ub = np.concatenate([t_cap - offsets, t_cap + offsets])
-    res = scipy.optimize.linprog(objective, A_ub=a_ub, b_ub=b_ub,
-                                 bounds=[(None, None)] * rows.shape[1],
-                                 method="highs")
+    """Minimise ``objective . l`` over the (near-)optimal face
+    |offsets + rows . l| <= t_cap.
+
+    Solved as its LP dual over y = (y+, y-) >= 0: minimise
+    ``cost . y`` with ``cost = (t_cap - offsets, t_cap + offsets)``
+    subject to ``rowsT (y+ - y-) = -objective``; l is the multiplier of
+    those equality rows.  None when HiGHS fails, e.g. on an unbounded
+    probe, whose dual is infeasible.
+    """
+    res = scipy.optimize.linprog(cost, A_eq=a_eq[:-1], b_eq=-objective,
+                                 method="highs", options={"presolve": False})
     if not res.success:
         return None
-    return res.x
+    return res.eqlin.marginals
 
 
-def _face_candidates(problem: MinMaxProblem, t_star: float,
+def _face_candidates(offsets: np.ndarray, a_eq: np.ndarray, t_star: float,
                      l_star: np.ndarray, draws, threads: int | None = None
                      ) -> list[np.ndarray]:
     """Sample extreme points of the optimal face with random LP objectives,
@@ -224,12 +247,30 @@ def _face_candidates(problem: MinMaxProblem, t_star: float,
     advances as in a sequential loop whatever ``threads`` is.
     """
     t_cap = t_star + 1e-9 * max(1.0, t_star)
-    objectives = [rng.standard_normal(problem.m)
+    cost = np.concatenate([t_cap - offsets, t_cap + offsets])
+    objectives = [rng.standard_normal(a_eq.shape[0] - 1)
                   for rng, count in draws for _ in range(count)]
-    found = _parallel_map(
-        lambda c: _face_probe(problem.offsets, problem.rows, t_cap, c),
-        objectives, threads)
+    found = _parallel_map(lambda c: _face_probe(a_eq, cost, c),
+                          objectives, threads)
     return [l_star] + [x for x in found if x is not None]
+
+
+def _minimize_real(problem: MinMaxProblem, draws, threads: int | None
+                   ) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """The epigraph LP's minimum and minimiser, and the minimiser followed
+    by the face probes' points.
+
+    The LPs see ``rows`` scaled by ``2**shift``, the power of two that puts
+    max|rows| in [1, 2), so HiGHS drops or refuses no coefficient whatever
+    the frame's scale; their points are scaled back by the same power.
+    Both steps are exact.
+    """
+    shift = 1 - int(np.frexp(np.max(np.abs(problem.rows)))[1])
+    a_eq = _dual_form(np.ldexp(problem.rows, shift))
+    mu_min, best = _solve_epigraph_lp(problem.offsets, a_eq)
+    points = [np.ldexp(p, shift) for p in _face_candidates(
+        problem.offsets, a_eq, mu_min, best, draws, threads)]
+    return mu_min, points[0], points
 
 
 def _flat_directions_increase(problem: MinMaxProblem, t_star: float,
@@ -353,10 +394,9 @@ def minimize_mu(frame: Frame, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     probe_rng = np.random.default_rng(PROBE_SEED)
     if frame.field == REAL:
-        mu_min, best = _solve_epigraph_lp(problem.offsets, problem.rows)
-        points = _face_candidates(
-            problem, mu_min, best,
-            ((rng, N_FACE_PROBES), (probe_rng, PROBE_FACE_PROBES)), threads)
+        mu_min, best, points = _minimize_real(
+            problem, ((rng, N_FACE_PROBES), (probe_rng, PROBE_FACE_PROBES)),
+            threads)
     else:
         mu_min, best, points = _minimize_complex(problem, cluster_tol, rng)
         points += _minimize_complex(problem, cluster_tol, probe_rng)[2]

@@ -14,7 +14,7 @@ import fpl
 from fpl import cli, errors
 from fpl.cli import run
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
-from fpl.grassmannian import conjecture_harness
+from fpl.grassmannian import HarnessSummary, conjecture_harness
 from fpl.io import load_frame, save_frame, save_fusion_frame
 from fpl.potentials import max_offdiagonal, welch_constant
 
@@ -224,6 +224,33 @@ class TestFamilyVerb:
         assert "NotADual" in err
 
 
+# The structured output of the first 24 frames of each size in the
+# benchmark's search-real corpus, recorded while the search's LPs were still
+# solved in primal form: "mu_min exclusive" per frame.
+CORPUS_OUTPUT = {
+    4: (
+        "0.270186970 false", "0.281945238 false", "0.256744029 false",
+        "0.293543349 false", "0.255111011 true", "0.300493533 true",
+        "0.363093746 true", "0.274528972 false", "0.272674330 false",
+        "0.306488726 false", "0.257158769 true", "0.280500422 true",
+        "0.315421993 true", "0.259254144 true", "0.308805021 true",
+        "0.276189243 true", "0.340583669 false", "0.285628328 true",
+        "0.252309972 false", "0.345980272 false", "0.287319006 false",
+        "0.276081531 true", "0.279920445 false", "0.346263968 true",
+    ),
+    6: (
+        "0.245662990 false", "0.229550907 true", "0.232638035 true",
+        "0.231757322 false", "0.244182987 false", "0.251999824 false",
+        "0.238825151 true", "0.233337510 true", "0.230853208 false",
+        "0.237292482 false", "0.238796248 true", "0.243788610 false",
+        "0.246865371 false", "0.259553219 false", "0.223694240 true",
+        "0.236722092 true", "0.237693818 false", "0.236882240 false",
+        "0.245336780 true", "0.257342358 true", "0.248032516 true",
+        "0.223074969 true", "0.245982789 true", "0.259161743 false",
+    ),
+}
+
+
 class TestGrassmannianVerb:
     def test_trident(self, capsys, paths):
         code, out, _ = invoke(capsys, "grassmannian", "--frame",
@@ -276,6 +303,19 @@ class TestGrassmannianVerb:
         assert code == 0
         assert out == ("mu_min       exclusive  family_dim\n"
                        "0.500000000  false      2\n")
+
+    @pytest.mark.parametrize("n", sorted(CORPUS_OUTPUT))
+    def test_recorded_corpus_output(self, capsys, tmp_path, n):
+        for i, want in enumerate(CORPUS_OUTPUT[n]):
+            m = np.random.default_rng((2205, n, i)).standard_normal((n, 2 * n))
+            path = tmp_path / f"real-{n}-{i}.json"
+            save_frame(make_frame(m), path)
+            code, out, err = invoke(capsys, "grassmannian", "--frame",
+                                    str(path), "--format", "structured")
+            mu, exclusive = want.split()
+            assert (code, out, err) == (
+                0, f"mu_min={mu} exclusive={exclusive} family_dim={n * n}\n",
+                ""), f"frame {n}/{i}"
 
 
 class TestFusionVerb:
@@ -369,6 +409,25 @@ class TestHarnessVerb:
         for line in out.splitlines()[1:]:
             name = line.split()[0].split("=")[1]
             assert load_frame(tmp_path / name).field == "complex"
+
+    @pytest.mark.parametrize("env,want", [
+        ("1000000", 4), ("4", 4), ("3", 3), ("0", 1), ("-5", 1)])
+    def test_thread_env_is_capped_at_the_cpu_count(self, capsys, monkeypatch,
+                                                    env, want):
+        # Stubbed: a huge count must never reach a real thread pool.
+        seen = []
+
+        def harness(n, k, trials, seed, *, field, threads):
+            seen.append(threads)
+            return HarnessSummary(n=n, k=k, trials=trials, seed=seed,
+                                  violations=0, min_ratio=1.0, case_a_count=0)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "conjecture_harness", harness)
+        monkeypatch.setenv("FPL_THREADS", env)
+        code, _, _ = invoke(capsys, "harness", "--trials", "10")
+        assert code == 0
+        assert seen and set(seen) == {want}
 
     def test_invalid_thread_env_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("FPL_THREADS", "many")

@@ -103,6 +103,58 @@ class TestMinimizeMuReal:
         assert a.mu_min == b.mu_min
         np.testing.assert_array_equal(a.minimizer_params, b.minimizer_params)
 
+    @pytest.mark.parametrize("name", ["trident", "basis_plus_diag",
+                                      "random-0", "random-1", "random-2"])
+    def test_the_minimiser_attains_mu_min(self, request, name):
+        # The minimiser is read back from the dual LP's multipliers; a sign
+        # slip there leaves mu(minimiser) far above mu_min.
+        if name.startswith("random"):
+            rng = np.random.default_rng(int(name[-1]))
+            f = make_frame(random_frame_matrix(rng, 4, 8, "real"))
+        else:
+            f = request.getfixturevalue(name)
+        result = minimize_mu(f)
+        attained = result.problem.mu(result.minimizer_params)
+        assert attained == pytest.approx(result.mu_min, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_face_points_lie_within_the_cap(self, scale):
+        m = random_frame_matrix(np.random.default_rng(3), 4, 8, "real")
+        problem = minmax_problem(make_frame(scale * m))
+        mu_min, _, points = grassmannian._minimize_real(
+            problem, ((np.random.default_rng(0), 24),), None)
+        t_cap = mu_min + 1e-9 * max(1.0, mu_min)
+        assert len(points) == 25
+        for p in points:
+            assert problem.mu(p) <= t_cap * (1 + 1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8, 1e20])
+    def test_mu_min_does_not_depend_on_the_frame_scale(self, scale):
+        # Scaling F by a scales its duals by 1/a and leaves Gr(F, H) as it
+        # is.  Unscaled, HiGHS dropped the 1e-8 frame's small coefficients
+        # and reported a minimum below any dual's, and refused the 1e20
+        # frame's LP ("Model error").
+        m = np.random.default_rng((2205, 4, 7)).standard_normal((4, 8))
+        want = minimize_mu(make_frame(m)).mu_min
+        got = minimize_mu(make_frame(scale * m))
+        assert got.mu_min == pytest.approx(want, rel=1e-12)
+        assert got.problem.mu(got.minimizer_params) == pytest.approx(
+            want, rel=1e-12)
+
+    def test_each_real_search_solves_25_lps(self, monkeypatch):
+        # the epigraph LP, then one LP per face probe
+        calls = []
+        original = scipy.optimize.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        minimize_mu(make_frame(random_frame_matrix(
+            np.random.default_rng(0), 3, 6, "real")))
+        assert len(calls) == 25
+
 
 class TestMinimizeMuComplex:
     def test_phase_twisted_trident_keeps_the_floor(self, trident):
@@ -294,11 +346,11 @@ class TestThreadedFaceProbes:
         original = grassmannian._face_probe
         misses = []
 
-        def failing(offsets, rows, t_cap, objective):
+        def failing(a_eq, cost, objective):
             if np.array_equal(objective, dropped):
                 misses.append(1)
                 return None
-            return original(offsets, rows, t_cap, objective)
+            return original(a_eq, cost, objective)
 
         monkeypatch.setattr(grassmannian, "_face_probe", failing)
         want = _search_outcome(frame, None)
@@ -315,8 +367,9 @@ class TestThreadedFaceProbes:
         frame = make_frame(random_frame_matrix(np.random.default_rng(0), 3, 6,
                                                "real"))
         result = minimize_mu(frame)
-        args = (result.problem, result.mu_min,
-                np.ravel(result.minimizer_params))
+        problem = result.problem
+        args = (problem.offsets, grassmannian._dual_form(problem.rows),
+                result.mu_min, np.ravel(result.minimizer_params))
 
         def draws():
             return ((_SlowDraws(1), 8), (_SlowDraws(4), 8))
@@ -325,9 +378,9 @@ class TestThreadedFaceProbes:
         assert len({p.tobytes() for p in want}) == len(want) == 17
         original = grassmannian._face_probe
 
-        def jittered(offsets, rows, t_cap, objective):
+        def jittered(a_eq, cost, objective):
             time.sleep(0.004 if objective[0] > 0 else 0.0)
-            return original(offsets, rows, t_cap, objective)
+            return original(a_eq, cost, objective)
 
         monkeypatch.setattr(grassmannian, "_face_probe", jittered)
         got = grassmannian._face_candidates(*args, draws(), threads)
