@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import fpl
-from fpl import cli, errors
+from fpl import cli, errors, grassmannian
 from fpl.cli import run
 from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
 from fpl.grassmannian import HarnessSummary, conjecture_harness
@@ -316,6 +317,65 @@ class TestGrassmannianVerb:
             assert (code, out, err) == (
                 0, f"mu_min={mu} exclusive={exclusive} family_dim={n * n}\n",
                 ""), f"frame {n}/{i}"
+
+    @pytest.mark.parametrize("case", ["zero", "nan", "fewer-than-m",
+                                      "rank-deficient", "large-rho"])
+    def test_uncertified_weights_keep_every_probe_column(
+            self, capsys, paths, monkeypatch, case):
+        # The probes then solve over all 2q columns, as before screening,
+        # and print what was recorded then.
+        solve = grassmannian._solve_epigraph_lp
+        screen = grassmannian._probe_columns
+        linprog = scipy.optimize.linprog
+        calls, masks = [], []
+
+        def corrupted(offsets, a_eq):
+            t_star, l_star, weights = solve(offsets, a_eq)
+            return t_star, l_star, _fallback_weights(case, weights,
+                                                     l_star.size)
+
+        def recorded(*args):
+            masks.append(screen(*args))
+            return masks[-1]
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(grassmannian, "_solve_epigraph_lp", corrupted)
+        monkeypatch.setattr(grassmannian, "_probe_columns", recorded)
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        code, out, err = invoke(capsys, "grassmannian", "--frame",
+                                paths["random_4x8_0"], "--format",
+                                "structured")
+        assert (code, out, err) == (
+            0, "mu_min=0.299049341 exclusive=true family_dim=16\n", "")
+        assert len(calls) == 25
+        assert len(masks) == 1 and masks[0].all()
+
+
+def _fallback_weights(case, weights, m):
+    """Epigraph LP weights y = (y+, y-) that certify no screening."""
+    q = weights.size // 2
+    y = np.zeros_like(weights)
+    if case == "zero":
+        return y
+    if case == "nan":
+        return np.full_like(weights, np.nan)
+    if case == "fewer-than-m":
+        # m - 1 nonzero weights cannot pin the m parameters
+        y[np.flatnonzero(weights)[:m - 1]] = 1.0
+        return y
+    if case == "rank-deficient":
+        # Off-diagonal row (i, j) of a 4x8 frame lies in the 4-dimensional
+        # span of F[:, i] ⊗ N[j, :] over i, so the 21 rows with j < 3 span
+        # at most 12 of the m = 16 dimensions.
+        j = np.nonzero(~np.eye(8, dtype=bool))[1]
+        y[:q][j < 3] = 1.0
+        return y / y.sum()
+    # "large-rho": equal weights on every row leave rowsT s far from 0
+    y[:q] = 1.0 / q
+    return y
 
 
 class TestFusionVerb:

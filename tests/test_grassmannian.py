@@ -156,6 +156,70 @@ class TestMinimizeMuReal:
         assert len(calls) == 25
 
 
+# Corpus frames default_rng((2205, n, i)).standard_normal((n, 2n)) whose
+# minimiser is not unique; the epigraph LP's weights certify no screening
+# for these, and for every other frame at 4x8 and 6x12 they do.
+NON_UNIQUE_CORPUS = {4: {0, 1, 2, 3, 8, 9, 18, 19, 20}, 6: {5, 13, 23}}
+
+
+def _real_points(monkeypatch, frame, all_columns=False):
+    """The real search's points (minimiser first, then the 24 probes, drawn
+    as minimize_mu draws them) and the probe column mask it used."""
+    masks = []
+    screen = grassmannian._probe_columns
+
+    def recorded(offsets, *args):
+        keep = (np.ones(2 * offsets.size, dtype=bool) if all_columns
+                else screen(offsets, *args))
+        masks.append(keep)
+        return keep
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grassmannian, "_probe_columns", recorded)
+        points = grassmannian._minimize_real(minmax_problem(frame), (
+            (np.random.default_rng(0), grassmannian.N_FACE_PROBES),
+            (np.random.default_rng(grassmannian.PROBE_SEED),
+             grassmannian.PROBE_FACE_PROBES)), None)[2]
+    (keep,) = masks
+    return points, keep
+
+
+class TestProbeScreening:
+    """The face probes solve over only the constraint sides the epigraph
+    LP's weights show can be active on the face; no point moves."""
+
+    @pytest.mark.parametrize("n", sorted(NON_UNIQUE_CORPUS))
+    def test_screening_moves_no_probe_point(self, monkeypatch, n):
+        for i in range(24):
+            m = np.random.default_rng((2205, n, i)).standard_normal((n, 2 * n))
+            frame = make_frame(m)
+            got, keep = _real_points(monkeypatch, frame)
+            want, _ = _real_points(monkeypatch, frame, all_columns=True)
+            assert len(got) == len(want) == 25, f"frame {n}/{i}"
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-8, f"frame {n}/{i}"
+            assert keep.all() == (i in NON_UNIQUE_CORPUS[n]), f"frame {n}/{i}"
+
+    @pytest.mark.parametrize("name,kept", [("trident", 4), ("flat-face", 12)])
+    def test_columns_kept(self, monkeypatch, trident, name, kept):
+        _, keep = _real_points(monkeypatch, _search_frame(name, trident))
+        assert (keep.size, int(keep.sum())) == (12, kept)
+
+    def test_a_failing_svd_keeps_every_column(self, monkeypatch, trident):
+        problem = minmax_problem(trident)
+        a_eq = grassmannian._dual_form(problem.rows)
+        t_star, l_star, weights = grassmannian._solve_epigraph_lp(
+            problem.offsets, a_eq)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        keep = grassmannian._probe_columns(problem.offsets, a_eq,
+                                           t_star + 1e-9, l_star, weights)
+        assert keep.all()
+
+
 class TestMinimizeMuComplex:
     def test_phase_twisted_trident_keeps_the_floor(self, trident):
         f = _phase_twisted(trident, [0.3, -1.1, 2.4])
@@ -366,10 +430,10 @@ class TestThreadedFaceProbes:
         # generator out of order must not move any point.
         frame = make_frame(random_frame_matrix(np.random.default_rng(0), 3, 6,
                                                "real"))
-        result = minimize_mu(frame)
-        problem = result.problem
-        args = (problem.offsets, grassmannian._dual_form(problem.rows),
-                result.mu_min, np.ravel(result.minimizer_params))
+        problem = minmax_problem(frame)
+        a_eq = grassmannian._dual_form(problem.rows)
+        args = (problem.offsets, a_eq,
+                *grassmannian._solve_epigraph_lp(problem.offsets, a_eq))
 
         def draws():
             return ((_SlowDraws(1), 8), (_SlowDraws(4), 8))
