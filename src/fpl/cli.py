@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 when the solver fails (``SolverFailure``), 2 for
 every other library error (``FrameError``: bad files, non-frames, non-duals,
 shape clashes, numerically singular frame operators, ...) and for files the
 operating system cannot open (``OSError``).  Each prints one stderr line.
+A stdout closed by its reader (``fpl ... | head``) ends the run silently
+with 141, the status a shell gives a process that SIGPIPE ended.
 """
 from __future__ import annotations
 
@@ -40,6 +42,8 @@ from .grassmannian import (
 from .io import load_frame, load_fusion_frame, save_frame
 from .suite import run_suite
 
+# Exit status when stdout's reader has gone: 128 + SIGPIPE.
+PIPE_CLOSED = 141
 # (n, k) pairs probed when harness is run without --frame.
 HARNESS_PAIRS = ((2, 3), (2, 4), (3, 4), (3, 5))
 
@@ -393,13 +397,24 @@ def run(argv=None) -> int:
     try:
         _check_float_options(args)
         return args.handler(args)
+    except BrokenPipeError:
+        return PIPE_CLOSED
     except (FrameError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SolverFailure) else 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = PIPE_CLOSED
+    if code == PIPE_CLOSED:
+        # The interpreter flushes stdout again at exit; point it at devnull
+        # so that flush has no closed pipe to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -78,6 +78,16 @@ ETA_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 POLISH_MAXFEV = 20000
 # Harness work arrays are capped at this many bytes per chunk.
 HARNESS_CHUNK_BYTES = 32 << 20
+# numpy's SeedSequence constants (pool size, hash-mix and generate_state
+# constants and multipliers, mix multipliers) and PCG64's multiplier, for
+# seeding a chunk's trial generators in one array pass.
+_SEED_POOL = 4
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,6 +541,98 @@ def _random_frame_matrix(rng: np.random.Generator, n: int, k: int,
             return m
 
 
+def _uint32_words(value: int) -> list[int]:
+    """A nonnegative int as SeedSequence splits it: 32-bit words, low first."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_hasher(const: int, mult: int):
+    """SeedSequence's hash step: xor, multiply, xorshift, with a constant
+    that advances by ``mult`` at every call."""
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return step
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, np.uint64)`` for a stack of
+    assembled entropy words, one array lane per seed.
+
+    The 32-bit values sit in uint64 lanes, so no product overflows.
+    """
+    hashmix = _seed_hasher(_SEED_INIT_A, _SEED_MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = ((x * _SEED_MIX_L & _MASK32) + (1 << 32)
+             - (y * _SEED_MIX_R & _MASK32)) & _MASK32
+        return r ^ r >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_SEED_POOL)]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_SEED_POOL:]:
+        for dst in range(_SEED_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _seed_hasher(_SEED_INIT_B, _SEED_MULT_B)
+    half = [generate(pool[i % _SEED_POOL]) for i in range(8)]
+    return np.stack([half[i] | half[i + 1] << 32 for i in range(0, 8, 2)],
+                    axis=1)
+
+
+def _trial_seed_words(seed: int, t0: int, t1: int) -> np.ndarray:
+    """Row t - t0 is ``SeedSequence((seed, t)).generate_state(4, np.uint64)``
+    for each trial t in [t0, t1), t < 2**64."""
+    out = np.empty((t1 - t0, 4), dtype=np.uint64)
+    start = t0
+    while start < t1:
+        # The entropy is the seed's words then the trial's; trials with
+        # as many words as ``start`` share one array pass.
+        t_words = len(_uint32_words(start))
+        stop = min(t1, 1 << (32 * t_words))
+        t = np.arange(start, stop, dtype=np.uint64)
+        entropy = [np.full(t.shape, w, dtype=np.uint64)
+                   for w in _uint32_words(seed)]
+        entropy += [t >> 32 * j & _MASK32 for j in range(t_words)]
+        out[start - t0:stop - t0] = _seed_sequence_state(entropy)
+        start = stop
+    return out
+
+
+def _trial_rngs(seed: int, t0: int, t1: int):
+    """Yield, for each trial t in [t0, t1), a generator in the state that
+    ``np.random.default_rng((seed, t))`` starts in.
+
+    It is one Generator, created for trial t0 and reset for each later
+    trial, so it must not be kept past its trial.
+    """
+    rng = np.random.default_rng((seed, t0))
+    yield rng
+    bit_generator = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in _trial_seed_words(seed, t0 + 1,
+                                                    t1).tolist():
+        # PCG64's seeding: inc from the last two words, then two steps of
+        # the LCG around adding the first two.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        # has_uint32 = 0 drops a 32-bit half-word the last trial buffered.
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def _chunk_trials(n: int, k: int, field: str) -> int:
     """Most trials one chunk may hold within HARNESS_CHUNK_BYTES."""
     itemsize = 16 if field == COMPLEX else 8
@@ -554,8 +656,7 @@ def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
         if draw_params:
             params[idx] = param_scale * _gaussian(rng, (n, k - n), field)
 
-    for idx, t in enumerate(range(t0, t1)):
-        rng = np.random.default_rng((seed, t))
+    for idx, rng in enumerate(_trial_rngs(seed, t0, t1)):
         draw(idx, rng, frame_factory(rng, n, k) if frame_factory is not None
              else _gaussian(rng, (n, k), field))
     # One stacked SVD serves the rank check and the null bases.
@@ -615,10 +716,14 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
                        max_counterexamples: int = 5) -> HarnessSummary:
     """Draw random frames and random duals; count coherence-floor violations.
 
-    Each trial owns a generator derived from (seed, trial index), so the
-    outcome is reproducible and independent of chunking or thread count.
-    Trials run in chunks whose arrays take about HARNESS_CHUNK_BYTES at
-    most, so memory does not grow with ``trials``.
+    Each trial draws exactly what ``np.random.default_rng((seed, trial))``
+    would, so the outcome is reproducible and independent of chunking or
+    thread count.  A chunk computes its trials' seeds in one array pass and
+    resets one generator per trial; a ``frame_factory`` receives that
+    reused generator, so it must not keep it past the call (its
+    ``bit_generator.seed_seq``, and so ``spawn``, are the chunk's first
+    trial's).  Trials run in chunks whose arrays take about
+    HARNESS_CHUNK_BYTES at most, so memory does not grow with ``trials``.
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
     off-diagonal Gramian energy, the branch the floor argument leaves open.
     For k = n the floor is zero and every trial passes trivially

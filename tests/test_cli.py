@@ -672,6 +672,24 @@ class TestDiagnosticsAndExitCodes:
         assert err.count("\n") == 1
 
 
+class TestClosedStdout:
+    def test_closed_stdout_ends_silently_with_141(self, paths, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(fpl.__file__).resolve().parent.parent)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fpl.cli", "harness", "--frame",
+                 paths["trident"], "--trials", "2000", "--seed", "0"],
+                cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE,
+                env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.PIPE_CLOSED == 141
+        assert proc.stderr == ""
+
+
 class TestParserReuse:
     @pytest.mark.parametrize("argv", [
         ("potential", "--frame", "trident", "--format", "structured"),

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 from fpl import grassmannian
-from fpl.core import canonical_dual, cross_gramian, dual_family, is_dual, make_frame
+from fpl.core import _gaussian, canonical_dual, cross_gramian, dual_family, is_dual, make_frame
 from fpl.errors import DomainError, NotADual, NotAFrame
 from fpl.grassmannian import (
     VIOLATION_TOL,
@@ -583,6 +583,15 @@ def _uniform_frame(rng, n, k):
     return rng.uniform(-1.0, 1.0, (n, k))
 
 
+def _shifted_gaussian_frame(rng, n, k):
+    # One 32-bit draw leaves the other half of its 64-bit word buffered in
+    # the generator; the next trial must not see it.
+    shift = rng.integers(40)
+    m = rng.standard_normal((n, k))
+    m[0, 0] += shift / 40
+    return m
+
+
 REPLAY_CASES = [
     (2, 3, "real", 1.0, None),
     (3, 5, "complex", 1.0, None),
@@ -591,6 +600,7 @@ REPLAY_CASES = [
     (2, 4, "real", 0.0, None),
     (2, 3, "complex", 0.0, None),
     (2, 3, "real", 2.0, _uniform_frame),
+    (2, 3, "real", 1.0, _shifted_gaussian_frame),
 ]
 
 
@@ -634,6 +644,37 @@ class TestHarnessReplay:
         assert whole.violations > 0
         _assert_same_outcome(chunked, whole.violations, whole.case_a_count,
                              whole.min_ratio, whole.counterexamples)
+
+
+class TestTrialSeeding:
+    """A chunk's array-computed seeds against numpy's own seeding."""
+
+    # From 0, from a chunk start past 0, and across t = 2**32, where the
+    # trial index becomes two entropy words.
+    WINDOWS = [(0, 40), (1000, 1040), (2 ** 32 - 20, 2 ** 32 + 20)]
+    SEEDS = [0, 5, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 64 + 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        for t0, t1 in self.WINDOWS:
+            want = [np.random.SeedSequence((seed, t)).generate_state(
+                4, np.uint64) for t in range(t0, t1)]
+            got = grassmannian._trial_seed_words(seed, t0, t1)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_default_rng(self, seed):
+        def draws(rng):
+            return (_gaussian(rng, (2, 3), "real").tobytes()
+                    + _gaussian(rng, (2, 1), "complex").tobytes())
+
+        for t0, t1 in self.WINDOWS:
+            got = [draws(rng)
+                   for rng in grassmannian._trial_rngs(seed, t0, t1)]
+            want = [draws(np.random.default_rng((seed, t)))
+                    for t in range(t0, t1)]
+            assert got == want
 
 
 class TestHarness:
