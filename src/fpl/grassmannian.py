@@ -55,7 +55,7 @@ from .core import (
     dual_family,
     is_dual,
 )
-from .errors import DomainError, NotADual, NotAFrame, SolverFailure
+from .errors import DomainError, NotADual, SolverFailure
 from .potentials import max_offdiagonal, welch_constant
 
 # Conjectured coherence floor is tested with this slack.
@@ -78,6 +78,8 @@ ETA_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 POLISH_MAXFEV = 20000
 # Harness work arrays are capped at this many bytes per chunk.
 HARNESS_CHUNK_BYTES = 32 << 20
+# The harness keeps at most this many violating pairs.
+MAX_COUNTEREXAMPLES = 5
 # numpy's SeedSequence constants (pool size, hash-mix and generate_state
 # constants and multipliers, mix multipliers) and PCG64's multiplier, for
 # seeding a chunk's trial generators in one array pass.
@@ -514,7 +516,7 @@ def grassmannian_gap(frame: Frame, other: Frame, result: SearchResult,
 # Random probe harness for the conjectured coherence floor.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarnessSummary:
     """Aggregate outcome of a batch of random dual-pair draws."""
 
@@ -612,11 +614,8 @@ def _trial_seed_words(seed: int, t0: int, t1: int) -> np.ndarray:
 
 def _trial_rngs(seed: int, t0: int, t1: int):
     """Yield, for each trial t in [t0, t1), a generator in the state that
-    ``np.random.default_rng((seed, t))`` starts in.
-
-    It is one Generator, created for trial t0 and reset for each later
-    trial, so it must not be kept past its trial.
-    """
+    ``np.random.default_rng((seed, t))`` starts in: one Generator, created
+    for trial t0 and reset for each later trial."""
     rng = np.random.default_rng((seed, t0))
     yield rng
     bit_generator = rng.bit_generator
@@ -626,7 +625,8 @@ def _trial_rngs(seed: int, t0: int, t1: int):
         # the LCG around adding the first two.
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        # has_uint32 = 0 drops a 32-bit half-word the last trial buffered.
+        # PCG64's state setter requires has_uint32 and uinteger; a
+        # Gaussian draw never buffers a 32-bit half-word, so both are 0.
         bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
@@ -643,46 +643,31 @@ def _chunk_trials(n: int, k: int, field: str) -> int:
 
 
 def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
-                   param_scale: float, field: str, frame_factory,
-                   max_counterexamples: int) -> dict:
+                   field: str) -> dict:
     count = t1 - t0
     dtype = np.complex128 if field == COMPLEX else np.float64
     frames = np.empty((count, n, k), dtype=dtype)
-    params = np.zeros((count, n, k - n), dtype=dtype)
-    draw_params = k > n and param_scale != 0.0
+    params = np.empty((count, n, k - n), dtype=dtype)
 
     def draw(idx: int, rng: np.random.Generator, frame: np.ndarray) -> None:
+        # For k = n the parameter draw is empty and consumes nothing.
         frames[idx] = frame
-        if draw_params:
-            params[idx] = param_scale * _gaussian(rng, (n, k - n), field)
+        params[idx] = _gaussian(rng, (n, k - n), field)
 
     for idx, rng in enumerate(_trial_rngs(seed, t0, t1)):
-        draw(idx, rng, frame_factory(rng, n, k) if frame_factory is not None
-             else _gaussian(rng, (n, k), field))
-    # One stacked SVD serves the rank check and the null bases.
+        draw(idx, rng, _gaussian(rng, (n, k), field))
+    # One stacked SVD serves the rank check and the null bases.  Trials
+    # that fail the check, or pass it by less than a factor 2, are drawn
+    # again the sequential way, whose single-matrix check decides them; so
+    # a last-bit difference between the two SVDs cannot change any trial.
     sigma, vh = np.linalg.svd(frames, full_matrices=True)[1:]
-    if frame_factory is not None:
-        deficient = sigma[:, -1] <= RANK_RTOL * sigma[:, 0]
-        if deficient.any():
-            t = t0 + int(np.argmax(deficient))
-            raise NotAFrame(
-                f"frame_factory returned a rank-deficient frame at trial {t}")
-    else:
-        # Trials that fail the check, or pass it by less than a factor 2,
-        # are drawn again the sequential way, whose single-matrix check
-        # decides them; so a last-bit difference between the two SVDs
-        # cannot change any trial.
-        suspect = sigma[:, -1] <= 2.0 * RANK_RTOL * sigma[:, 0]
-        for idx in np.nonzero(suspect)[0]:
-            rng = np.random.default_rng((seed, t0 + int(idx)))
-            draw(idx, rng, _random_frame_matrix(rng, n, k, field))
-            vh[idx] = np.linalg.svd(frames[idx], full_matrices=True)[2]
+    suspect = sigma[:, -1] <= 2.0 * RANK_RTOL * sigma[:, 0]
+    for idx in np.nonzero(suspect)[0]:
+        rng = np.random.default_rng((seed, t0 + int(idx)))
+        draw(idx, rng, _random_frame_matrix(rng, n, k, field))
+        vh[idx] = np.linalg.svd(frames[idx], full_matrices=True)[2]
     ops = frames @ _conj_t(frames)
-    canon = np.linalg.solve(ops, frames)
-    if k > n:
-        duals = canon + params @ vh[:, n:, :]
-    else:
-        duals = canon
+    duals = np.linalg.solve(ops, frames) + params @ vh[:, n:, :]
     grams = _conj_t(frames) @ duals
     absq = np.abs(grams) ** 2
     off = ~np.eye(k, dtype=bool)
@@ -693,15 +678,11 @@ def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
         ratios = mus / c
         violating = mus < c - VIOLATION_TOL
     else:
-        mus = np.sqrt(off_sq.max(axis=1)) if k > 1 else np.zeros(count)
         ratios = np.full(count, np.inf)
         violating = np.zeros(count, dtype=bool)
     case_a = float(n) > n * n / k + off_sq.sum(axis=1)
-    examples = []
-    for idx in np.nonzero(violating)[0]:
-        if len(examples) >= max_counterexamples:
-            break
-        examples.append((frames[idx].copy(), duals[idx].copy()))
+    examples = [(frames[idx].copy(), duals[idx].copy())
+                for idx in np.nonzero(violating)[0][:MAX_COUNTEREXAMPLES]]
     return {
         "violations": int(violating.sum()),
         "min_ratio": float(ratios.min()) if count else np.inf,
@@ -711,24 +692,21 @@ def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
 
 
 def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
-                       param_scale: float = 1.0, field: str = REAL,
-                       frame_factory=None, threads: int | None = None,
-                       max_counterexamples: int = 5) -> HarnessSummary:
+                       field: str = REAL,
+                       threads: int | None = None) -> HarnessSummary:
     """Draw random frames and random duals; count coherence-floor violations.
 
-    Each trial draws exactly what ``np.random.default_rng((seed, trial))``
-    would, so the outcome is reproducible and independent of chunking or
-    thread count.  A chunk computes its trials' seeds in one array pass and
-    resets one generator per trial; a ``frame_factory`` receives that
-    reused generator, so it must not keep it past the call (its
-    ``bit_generator.seed_seq``, and so ``spawn``, are the chunk's first
-    trial's).  Trials run in chunks whose arrays take about
-    HARNESS_CHUNK_BYTES at most, so memory does not grow with ``trials``.
+    Each trial draws its n x k frame, then the n x (k - n) parameters of
+    its dual (canonical dual plus parameters times the null basis),
+    exactly as ``np.random.default_rng((seed, trial))`` would, so the
+    outcome is reproducible and independent of chunking or thread count.
+    Trials run in chunks whose arrays take about HARNESS_CHUNK_BYTES at
+    most, so memory does not grow with ``trials``.  The first
+    MAX_COUNTEREXAMPLES violating pairs, in trial order, are kept.
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
     off-diagonal Gramian energy, the branch the floor argument leaves open.
     For k = n the floor is zero and every trial passes trivially
-    (min_ratio reported as inf).  A ``frame_factory`` frame that does not
-    span raises NotAFrame naming its trial.
+    (min_ratio reported as inf).
     """
     if n < 1 or k < n:
         raise DomainError("need k >= n >= 1")
@@ -739,19 +717,14 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     workers = max(1, int(threads)) if threads else 1
     chunk = trials if workers == 1 else max(64, -(-trials // (workers * 4)))
     chunk = min(chunk, _chunk_trials(n, k, field))
-    spans = [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
-    args = [(n, k, t0, t1, seed, param_scale, field, frame_factory,
-             max_counterexamples) for t0, t1 in spans]
+    args = [(n, k, t0, min(t0 + chunk, trials), seed, field)
+            for t0 in range(0, trials, chunk)]
     parts = _parallel_map(lambda a: _harness_chunk(*a), args, workers)
-    examples: list[tuple[np.ndarray, np.ndarray]] = []
-    for p in parts:
-        for ex in p["examples"]:
-            if len(examples) < max_counterexamples:
-                examples.append(ex)
+    examples = [ex for p in parts for ex in p["examples"]]
     return HarnessSummary(
         n=n, k=k, trials=trials, seed=seed,
         violations=sum(p["violations"] for p in parts),
         min_ratio=float(min(p["min_ratio"] for p in parts)),
         case_a_count=sum(p["case_a"] for p in parts),
-        counterexamples=tuple(examples),
+        counterexamples=tuple(examples[:MAX_COUNTEREXAMPLES]),
     )

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -408,6 +409,42 @@ class TestFusionVerb:
         assert set(fields) == {"n", "k", "cross"}
 
 
+# `fpl harness --trials 1000 --seed 0 --format structured`: the summary
+# lines and the SHA-256 of each counterexample file it writes.
+HARNESS_DEFAULT_PAIRS = [
+    "n=2 k=3 trials=1000 seed=0 violations=8 min_ratio=0.364059448 "
+    "case_a_count=92",
+    "n=2 k=4 trials=1000 seed=0 violations=0 min_ratio=1.212738372 "
+    "case_a_count=10",
+    "n=3 k=4 trials=1000 seed=0 violations=0 min_ratio=1.215215939 "
+    "case_a_count=28",
+    "n=3 k=5 trials=1000 seed=0 violations=0 min_ratio=2.355921741 "
+    "case_a_count=0",
+]
+HARNESS_COUNTEREXAMPLE_SHA256 = {
+    "counterexample-n2k3-0-frame.json":
+        "5c9d5f90b5a537837938d1cc37a4da329c63d1e40e40ea49fe3815263cf9c04e",
+    "counterexample-n2k3-0-dual.json":
+        "381813311601dabe71e6d5a92a9250c4522479e36d27a2dbac8ce7b199072de5",
+    "counterexample-n2k3-1-frame.json":
+        "b26260d7626c9c3c25a7f94d8ec52b61d06f83ae27e6bc2645ad256c07c09a93",
+    "counterexample-n2k3-1-dual.json":
+        "be3a5e0b1eed9eb5a896d1802e08079406f994541d73fd37e8c2dc6e09967ac7",
+    "counterexample-n2k3-2-frame.json":
+        "b8c64f28239d1b3354ec4838b2675bc3b9c2cf7dc6e809de98b0754539b6f8dc",
+    "counterexample-n2k3-2-dual.json":
+        "b30c29ae4bb3192dbd7d0a39f94544879bf0f3fbaad9924b45bf8276980dd6c8",
+    "counterexample-n2k3-3-frame.json":
+        "e3e4b4f1a6ec510a350903d21c748994492946b11f52e8d1b8154c9a96e063dc",
+    "counterexample-n2k3-3-dual.json":
+        "db03430116f1eb4da877319de3d8c9faf82177d5793d55fbf61f512cab8f0be2",
+    "counterexample-n2k3-4-frame.json":
+        "a8eb772971599bdae66b0c32fa25f82c8492b8b287869f796aa837ccf6acc928",
+    "counterexample-n2k3-4-dual.json":
+        "1a557017ff52257c975dea42d57899dce7a44850463e37e9dd327ef75055ee4d",
+}
+
+
 class TestHarnessVerb:
     def test_single_frame_probe(self, capsys, paths, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -438,6 +475,23 @@ class TestHarnessVerb:
             mu = max_offdiagonal(cross_gramian(f, h))
             assert mu < welch_constant(f.n, f.k) - 1e-9
 
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_default_pairs_golden_output(self, capsys, tmp_path, monkeypatch,
+                                         threads):
+        monkeypatch.chdir(tmp_path)
+        if threads is None:
+            monkeypatch.delenv("FPL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FPL_THREADS", threads)
+        code, out, _ = invoke(capsys, "harness", "--trials", "1000",
+                              "--format", "structured")
+        assert code == 0
+        assert [ln for ln in out.splitlines()
+                if ln.startswith("n=")] == HARNESS_DEFAULT_PAIRS
+        dumps = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in tmp_path.glob("counterexample-*.json")}
+        assert dumps == HARNESS_COUNTEREXAMPLE_SHA256
+
     def test_byte_stable_and_thread_independent(self, capsys, tmp_path,
                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -458,9 +512,8 @@ class TestHarnessVerb:
                               "--trials", "200", "--seed", "4",
                               "--format", "structured")
         assert code == 0
-        want = conjecture_harness(2, 3, 200, 4, field="complex",
-                                  max_counterexamples=0)
-        real = conjecture_harness(2, 3, 200, 4, max_counterexamples=0)
+        want = conjecture_harness(2, 3, 200, 4, field="complex")
+        real = conjecture_harness(2, 3, 200, 4)
         assert want.min_ratio != real.min_ratio
         assert out.splitlines()[0] == (
             f"n=2 k=3 trials=200 seed=4 violations={want.violations} "

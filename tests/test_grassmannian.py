@@ -8,7 +8,7 @@ import scipy.optimize
 
 from fpl import grassmannian
 from fpl.core import _gaussian, canonical_dual, cross_gramian, dual_family, is_dual, make_frame
-from fpl.errors import DomainError, NotADual, NotAFrame
+from fpl.errors import DomainError, NotADual
 from fpl.grassmannian import (
     VIOLATION_TOL,
     conjecture_harness,
@@ -530,8 +530,7 @@ def _gaussian_draw(rng, shape, field):
     return rng.standard_normal(shape)
 
 
-def _replay_harness(n, k, trials, seed, param_scale=1.0, field="real",
-                    frame_factory=None, max_counterexamples=5):
+def _replay_harness(n, k, trials, seed, field="real"):
     """The harness outcome computed one trial at a time: each trial's own
     generator yields a frame, redrawn while it fails the rank check, and
     then the trial's dual parameters."""
@@ -542,19 +541,14 @@ def _replay_harness(n, k, trials, seed, param_scale=1.0, field="real",
     examples = []
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        if frame_factory is not None:
-            f = frame_factory(rng, n, k)
-        else:
-            while True:
-                f = _gaussian_draw(rng, (n, k), field)
-                s = np.linalg.svd(f, compute_uv=False)
-                if s[-1] > rtol * s[0]:
-                    break
+        while True:
+            f = _gaussian_draw(rng, (n, k), field)
+            s = np.linalg.svd(f, compute_uv=False)
+            if s[-1] > rtol * s[0]:
+                break
         dual = np.linalg.solve(f @ f.conj().T, f)
         if k > n:
-            params = np.zeros((n, k - n))
-            if param_scale != 0.0:
-                params = param_scale * _gaussian_draw(rng, (n, k - n), field)
+            params = _gaussian_draw(rng, (n, k - n), field)
             vh = np.linalg.svd(f, full_matrices=True)[2]
             dual = dual + params @ vh[n:, :]
         gram = f.conj().T @ dual
@@ -565,7 +559,7 @@ def _replay_harness(n, k, trials, seed, param_scale=1.0, field="real",
             min_ratio = min(min_ratio, mu / floor)
             if mu < floor - VIOLATION_TOL:
                 violations += 1
-                if len(examples) < max_counterexamples:
+                if len(examples) < grassmannian.MAX_COUNTEREXAMPLES:
                     examples.append((f, dual))
     return violations, case_a, min_ratio, examples
 
@@ -579,40 +573,17 @@ def _assert_same_outcome(summary, violations, case_a, min_ratio, examples):
         assert hm.tobytes() == h.tobytes()
 
 
-def _uniform_frame(rng, n, k):
-    return rng.uniform(-1.0, 1.0, (n, k))
-
-
-def _shifted_gaussian_frame(rng, n, k):
-    # One 32-bit draw leaves the other half of its 64-bit word buffered in
-    # the generator; the next trial must not see it.
-    shift = rng.integers(40)
-    m = rng.standard_normal((n, k))
-    m[0, 0] += shift / 40
-    return m
-
-
-REPLAY_CASES = [
-    (2, 3, "real", 1.0, None),
-    (3, 5, "complex", 1.0, None),
-    (3, 3, "real", 1.0, None),
-    (2, 2, "complex", 1.0, None),
-    (2, 4, "real", 0.0, None),
-    (2, 3, "complex", 0.0, None),
-    (2, 3, "real", 2.0, _uniform_frame),
-    (2, 3, "real", 1.0, _shifted_gaussian_frame),
-]
+REPLAY_CASES = [(2, 3, "real"), (3, 5, "complex"), (3, 3, "real"),
+                (2, 2, "complex"), (2, 4, "real"), (2, 3, "complex")]
 
 
 class TestHarnessReplay:
     """The batched harness against a trial-by-trial recomputation."""
 
-    @pytest.mark.parametrize("n,k,field,scale,factory", REPLAY_CASES)
-    def test_matches_sequential_draws(self, n, k, field, scale, factory):
-        summary = conjecture_harness(n, k, 300, seed=5, param_scale=scale,
-                                     field=field, frame_factory=factory)
-        _assert_same_outcome(summary, *_replay_harness(
-            n, k, 300, 5, scale, field, factory))
+    @pytest.mark.parametrize("n,k,field", REPLAY_CASES)
+    def test_matches_sequential_draws(self, n, k, field):
+        summary = conjecture_harness(n, k, 300, seed=5, field=field)
+        _assert_same_outcome(summary, *_replay_harness(n, k, 300, 5, field))
 
     @pytest.mark.parametrize("n,k,field", [(2, 3, "real"), (3, 5, "complex"),
                                            (3, 3, "real")])
@@ -711,34 +682,16 @@ class TestHarness:
             assert mu < c - 1e-9
 
     def test_canonical_duals_of_tight_frames_sit_on_the_floor(self, mercedes):
-        def factory(rng, n, k):
-            return mercedes.synthesis
+        gram = cross_gramian(mercedes, canonical_dual(mercedes))
+        assert max_offdiagonal(gram) == pytest.approx(welch_constant(2, 3),
+                                                      abs=1e-12)
 
-        summary = conjecture_harness(2, 3, 50, seed=0, param_scale=0.0,
-                                     frame_factory=factory)
-        assert summary.violations == 0
-        assert summary.min_ratio == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rank_deficient_factory_frame_names_its_trial(self, monkeypatch,
-                                                          threads):
-        # eight (2, 3) trials per chunk, so the first bad trial is not in
-        # the first chunk
-        monkeypatch.setattr(grassmannian, "HARNESS_CHUNK_BYTES", 8 * 480)
-
-        def factory(rng, n, k):
-            deficient = rng.integers(40) == 0
-            m = rng.standard_normal((n, k))
-            if deficient:
-                m[1] = 2.0 * m[0]
-            return m
-
-        bad = [t for t in range(100)
-               if np.random.default_rng((6, t)).integers(40) == 0]
-        assert bad
-        with pytest.raises(NotAFrame, match=f"at trial {bad[0]}$"):
-            conjecture_harness(2, 3, 100, seed=6, frame_factory=factory,
-                               threads=threads)
+    def test_summaries_compare_without_raising(self):
+        a = conjecture_harness(2, 3, 2000, seed=0)
+        b = conjecture_harness(2, 3, 2000, seed=0)
+        assert a.counterexamples
+        assert a == a
+        assert a != b
 
     def test_square_case_is_trivially_clean(self):
         summary = conjecture_harness(3, 3, 200, seed=4)
