@@ -197,6 +197,9 @@ def _parallel_map(fn, items, threads: int | None) -> list:
     for f in futures:
         if not f.cancel():
             f.result()
+    # A finished or cancelled task can linger a moment on its worker; it
+    # must not keep the items alive.
+    items.clear()
     if errors:
         raise errors[min(errors)]
     return results
@@ -619,17 +622,21 @@ def _trial_rngs(seed: int, t0: int, t1: int):
     rng = np.random.default_rng((seed, t0))
     yield rng
     bit_generator = rng.bit_generator
+    # One state dict, refilled per trial.  PCG64's state setter requires
+    # has_uint32 and uinteger and applies them at every reset; a Gaussian
+    # draw never buffers a 32-bit half-word, so both stay 0.
+    pcg = {}
+    full = {"bit_generator": "PCG64", "state": pcg,
+            "has_uint32": 0, "uinteger": 0}
     for s_hi, s_lo, i_hi, i_lo in _trial_seed_words(seed, t0 + 1,
                                                     t1).tolist():
         # PCG64's seeding: inc from the last two words, then two steps of
         # the LCG around adding the first two.
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        # PCG64's state setter requires has_uint32 and uinteger; a
-        # Gaussian draw never buffers a 32-bit half-word, so both are 0.
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
+                        + inc) & _MASK128
+        pcg["inc"] = inc
+        bit_generator.state = full
         yield rng
 
 
@@ -637,25 +644,45 @@ def _chunk_trials(n: int, k: int, field: str) -> int:
     """Most trials one chunk may hold within HARNESS_CHUNK_BYTES."""
     itemsize = 16 if field == COMPLEX else 8
     # about four n x k arrays (frames, canonical duals, duals and a
-    # temporary) and four k x k (vh, Gramians and their squared magnitudes)
-    per_trial = itemsize * (4 * n * k + 4 * k * k)
+    # temporary), four k x k (vh, Gramians and their squared magnitudes)
+    # and the draw buffer's n x (2k - n) normals (two blocks over C)
+    per_trial = itemsize * (4 * n * k + 4 * k * k + n * (2 * k - n))
     return max(1, HARNESS_CHUNK_BYTES // per_trial)
 
 
-def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
-                   field: str) -> dict:
-    count = t1 - t0
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    frames = np.empty((count, n, k), dtype=dtype)
-    params = np.empty((count, n, k - n), dtype=dtype)
+def _from_normals(block: np.ndarray, n: int, cols: int,
+                  field: str) -> np.ndarray:
+    """Per row of standard normals, the n x cols matrix ``_gaussian`` makes
+    of them: over C the real part, then the imaginary part."""
+    if field == COMPLEX:
+        parts = block.reshape(len(block), 2, n, cols)
+        return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    return block.reshape(len(block), n, cols)
 
-    def draw(idx: int, rng: np.random.Generator, frame: np.ndarray) -> None:
-        # For k = n the parameter draw is empty and consumes nothing.
-        frames[idx] = frame
-        params[idx] = _gaussian(rng, (n, k - n), field)
 
+def _draw_chunk(n: int, k: int, t0: int, t1: int, seed: int,
+                field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The frames and dual parameters of trials [t0, t1), as each trial's
+    ``default_rng((seed, t))`` draws them with ``_gaussian``: its n x k
+    frame, then its n x (k - n) parameters (empty for k = n).
+
+    Each trial fills its row of one buffer with one ``standard_normal``
+    call, which yields the same numbers as the separate draws.
+    """
+    blocks = 2 if field == COMPLEX else 1
+    normals = np.empty((t1 - t0, blocks * n * (2 * k - n)))
     for idx, rng in enumerate(_trial_rngs(seed, t0, t1)):
-        draw(idx, rng, _gaussian(rng, (n, k), field))
+        rng.standard_normal(out=normals[idx])
+    split = blocks * n * k
+    return (_from_normals(normals[:, :split], n, k, field),
+            _from_normals(normals[:, split:], n, k - n, field))
+
+
+def _harness_chunk(n: int, k: int, seed: int, field: str, t0: int,
+                   frames: np.ndarray, params: np.ndarray) -> dict:
+    """Violations, min ratio, case-a count and the first counterexamples
+    of the trials from t0 that :func:`_draw_chunk` drew."""
+    count = len(frames)
     # One stacked SVD serves the rank check and the null bases.  Trials
     # that fail the check, or pass it by less than a factor 2, are drawn
     # again the sequential way, whose single-matrix check decides them; so
@@ -664,7 +691,9 @@ def _harness_chunk(n: int, k: int, t0: int, t1: int, seed: int,
     suspect = sigma[:, -1] <= 2.0 * RANK_RTOL * sigma[:, 0]
     for idx in np.nonzero(suspect)[0]:
         rng = np.random.default_rng((seed, t0 + int(idx)))
-        draw(idx, rng, _random_frame_matrix(rng, n, k, field))
+        frames[idx] = _random_frame_matrix(rng, n, k, field)
+        # For k = n the parameter draw is empty and consumes nothing.
+        params[idx] = _gaussian(rng, (n, k - n), field)
         vh[idx] = np.linalg.svd(frames[idx], full_matrices=True)[2]
     ops = frames @ _conj_t(frames)
     duals = np.linalg.solve(ops, frames) + params @ vh[:, n:, :]
@@ -701,8 +730,10 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     exactly as ``np.random.default_rng((seed, trial))`` would, so the
     outcome is reproducible and independent of chunking or thread count.
     Trials run in chunks whose arrays take about HARNESS_CHUNK_BYTES at
-    most, so memory does not grow with ``trials``.  The first
-    MAX_COUNTEREXAMPLES violating pairs, in trial order, are kept.
+    most, so memory does not grow with ``trials``.  The calling thread
+    draws every trial; the chunks' linear algebra runs on up to
+    ``threads`` threads.  The first MAX_COUNTEREXAMPLES violating pairs,
+    in trial order, are kept.
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
     off-diagonal Gramian energy, the branch the floor argument leaves open.
     For k = n the floor is zero and every trial passes trivially
@@ -715,11 +746,20 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     if seed < 0:
         raise DomainError(f"the seed must be >= 0, got {seed}")
     workers = max(1, int(threads)) if threads else 1
-    chunk = trials if workers == 1 else max(64, -(-trials // (workers * 4)))
-    chunk = min(chunk, _chunk_trials(n, k, field))
-    args = [(n, k, t0, min(t0 + chunk, trials), seed, field)
-            for t0 in range(0, trials, chunk)]
-    parts = _parallel_map(lambda a: _harness_chunk(*a), args, workers)
+    chunk = min(-(-trials // workers), _chunk_trials(n, k, field))
+    starts = range(0, trials, chunk)
+    parts = []
+    # Only the calling thread draws: a draw releases the GIL at every
+    # call, so drawing threads would trade it trial by trial.  The pool
+    # gets each group's linear algebra, and dropping a group before the
+    # next is drawn holds at most ``workers`` drawn chunks at once.
+    for g in range(0, len(starts), workers):
+        drawn = [(t0, *_draw_chunk(n, k, t0, min(t0 + chunk, trials), seed,
+                                   field)) for t0 in starts[g:g + workers]]
+        parts += _parallel_map(
+            lambda d: _harness_chunk(n, k, seed, field, *d),
+            drawn, workers)
+        del drawn
     examples = [ex for p in parts for ex in p["examples"]]
     return HarnessSummary(
         n=n, k=k, trials=trials, seed=seed,

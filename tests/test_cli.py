@@ -523,6 +523,26 @@ class TestHarnessVerb:
             name = line.split()[0].split("=")[1]
             assert load_frame(tmp_path / name).field == "complex"
 
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_complex_frame_golden_output(self, capsys, tmp_path, monkeypatch,
+                                         threads):
+        # Pinned, not compared with the library, so a wrong split of the
+        # draws into real and imaginary parts cannot pass.
+        monkeypatch.chdir(tmp_path)
+        if threads is None:
+            monkeypatch.delenv("FPL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FPL_THREADS", threads)
+        m = np.array([[1.0, 1j, -1.0], [0.5, 1.0, 1j]])
+        save_frame(make_frame(m), tmp_path / "complex.json")
+        code, out, _ = invoke(capsys, "harness", "--frame", "complex.json",
+                              "--trials", "2000", "--seed", "4",
+                              "--format", "structured")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "n=2 k=3 trials=2000 seed=4 violations=0 min_ratio=1.076605650 "
+            "case_a_count=39")
+
     @pytest.mark.parametrize("env,want", [
         ("1000000", 4), ("4", 4), ("3", 3), ("0", 1), ("-5", 1)])
     def test_thread_env_is_capped_at_the_cpu_count(self, capsys, monkeypatch,

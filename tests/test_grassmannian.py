@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -647,6 +648,21 @@ class TestTrialSeeding:
                     for t in range(t0, t1)]
             assert got == want
 
+    @pytest.mark.parametrize("n,k,field", [(2, 3, "real"), (2, 3, "complex"),
+                                           (3, 3, "real"), (2, 2, "complex"),
+                                           (3, 5, "complex")])
+    def test_draw_chunk_matches_sequential_draws(self, n, k, field):
+        for t0, t1 in self.WINDOWS:
+            frames, params = grassmannian._draw_chunk(n, k, t0, t1, 7, field)
+            assert frames.shape == (t1 - t0, n, k)
+            assert params.shape == (t1 - t0, n, k - n)
+            for t in range(t0, t1):
+                rng = np.random.default_rng((7, t))
+                assert frames[t - t0].tobytes() == \
+                    _gaussian(rng, (n, k), field).tobytes()
+                assert params[t - t0].tobytes() == \
+                    _gaussian(rng, (n, k - n), field).tobytes()
+
 
 class TestHarness:
     def test_reproducible_across_runs_and_threads(self):
@@ -709,6 +725,46 @@ class TestHarness:
             conjecture_harness(3, 2, 10, seed=0)
         with pytest.raises(DomainError):
             conjecture_harness(2, 3, 0, seed=0)
+
+    def test_only_the_calling_thread_draws(self, monkeypatch):
+        # Small chunks give many groups of two; every trial generator must
+        # be advanced on the caller, and no more drawn chunks may be alive
+        # at once than there are threads.
+        monkeypatch.setattr(grassmannian, "HARNESS_CHUNK_BYTES", 4000)
+        caller = threading.get_ident()
+        draw_threads = set()
+        alive = {}
+        most_alive = []
+        trial_rngs = grassmannian._trial_rngs
+        draw_chunk = grassmannian._draw_chunk
+
+        def recorded_rngs(*args):
+            for rng in trial_rngs(*args):
+                draw_threads.add(threading.get_ident())
+                yield rng
+
+        def release(t0):
+            alive[t0] -= 1
+
+        def recorded_draw(*args):
+            drawn = draw_chunk(*args)
+            t0 = args[2]
+            alive[t0] = len(drawn)
+            for part in drawn:
+                weakref.finalize(part, release, t0)
+            most_alive.append(sum(1 for v in alive.values() if v))
+            return drawn
+
+        monkeypatch.setattr(grassmannian, "_trial_rngs", recorded_rngs)
+        monkeypatch.setattr(grassmannian, "_draw_chunk", recorded_draw)
+        summary = conjecture_harness(2, 3, 400, seed=0, threads=2)
+        assert draw_threads == {caller}
+        assert len(most_alive) > 2
+        assert max(most_alive) == 2
+        monkeypatch.undo()
+        whole = conjecture_harness(2, 3, 400, seed=0)
+        _assert_same_outcome(summary, whole.violations, whole.case_a_count,
+                             whole.min_ratio, whole.counterexamples)
 
     def test_negative_seed_is_refused_before_any_trial(self, monkeypatch):
         def no_work(*args, **kwargs):
