@@ -53,13 +53,24 @@ def _coerce_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _from_normals(normals: np.ndarray, shape: tuple[int, int],
+                  field: str) -> np.ndarray:
+    """The ``shape`` matrix made of each last-axis row of standard normals:
+    the row itself over R; over C its first half as the real part, its
+    second as the imaginary part, over sqrt(2)."""
+    lead = normals.shape[:-1]
+    if field == COMPLEX:
+        parts = normals.reshape(*lead, 2, *shape)
+        return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
+    return normals.reshape(*lead, *shape)
+
+
 def _gaussian(rng: np.random.Generator, shape: tuple[int, int],
               field: str) -> np.ndarray:
     """Standard Gaussian matrix; complex entries have E|z|^2 = 1."""
-    if field == COMPLEX:
-        return (rng.standard_normal(shape)
-                + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return rng.standard_normal(shape)
+    blocks = 2 if field == COMPLEX else 1
+    return _from_normals(rng.standard_normal(blocks * shape[0] * shape[1]),
+                         shape, field)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,16 +28,17 @@ over the near-optimal face: 8 drawn from the caller's seed, then 16 from
 they form one cluster and no flat direction at it keeps mu at its minimum.
 :func:`exclusivity_probe` reads that verdict.
 
-The face probes are independent LPs.  ``threads`` runs them on the calling
-thread plus pool workers (one pool per worker count, shared with the
-harness); every objective is drawn before any probe runs and results are
-kept in input order, so the outcome does not depend on ``threads``.
+The face probes are independent LPs.  ``threads`` runs them on a pool of
+that many threads, at most one per CPU, shared with the harness; every
+objective is drawn before any probe runs and results are kept in input
+order, so the outcome does not depend on ``threads``.
 """
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
-import threading
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ from .core import (
     REAL,
     DualFamily,
     Frame,
+    _from_normals,
     _gaussian,
     cross_gramian,
     dual_family,
@@ -152,6 +154,12 @@ class SearchResult:
         return self.problem.family.dim
 
 
+def _thread_count(threads: int | None) -> int:
+    """``threads`` as a thread count from 1 to the CPU count; None reads as
+    1.  More threads than cores only add start-up time and memory."""
+    return max(1, min(int(threads or 1), os.cpu_count() or 1))
+
+
 @functools.cache
 def _worker_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
     """The process's pool of ``workers`` threads, created on first use and
@@ -162,47 +170,18 @@ def _worker_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
 
 
 def _parallel_map(fn, items, threads: int | None) -> list:
-    """``[fn(x) for x in items]``, on the calling thread plus pool workers,
-    ``min(threads, len(items))`` threads in all; inline when that is 1 or
-    ``threads`` is None.
+    """``[fn(x) for x in items]`` on ``min(threads, len(items))`` pool
+    threads, ``threads`` capped by :func:`_thread_count`; inline on the
+    calling thread when that is 1.
 
-    Items are handed out in order and results kept in input order.  After
-    an error no further item is handed out, and the error of the earliest
+    Results come back in input order, and the error of the earliest
     failing item is raised, as the inline loop would raise it.
     """
     items = list(items)
-    threads = min(threads or 1, len(items))
-    if threads <= 1:
+    workers = min(_thread_count(threads), len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    results = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    order = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def drain() -> None:
-        while not errors:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised below, on the caller
-                errors[i] = exc
-
-    futures = [_worker_pool(threads - 1).submit(drain)
-               for _ in range(threads - 1)]
-    drain()
-    # A worker that has not started would find nothing left to do.
-    for f in futures:
-        if not f.cancel():
-            f.result()
-    # A finished or cancelled task can linger a moment on its worker; it
-    # must not keep the items alive.
-    items.clear()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    return list(_worker_pool(workers).map(fn, items))
 
 
 def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -650,16 +629,6 @@ def _chunk_trials(n: int, k: int, field: str) -> int:
     return max(1, HARNESS_CHUNK_BYTES // per_trial)
 
 
-def _from_normals(block: np.ndarray, n: int, cols: int,
-                  field: str) -> np.ndarray:
-    """Per row of standard normals, the n x cols matrix ``_gaussian`` makes
-    of them: over C the real part, then the imaginary part."""
-    if field == COMPLEX:
-        parts = block.reshape(len(block), 2, n, cols)
-        return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-    return block.reshape(len(block), n, cols)
-
-
 def _draw_chunk(n: int, k: int, t0: int, t1: int, seed: int,
                 field: str) -> tuple[np.ndarray, np.ndarray]:
     """The frames and dual parameters of trials [t0, t1), as each trial's
@@ -674,8 +643,8 @@ def _draw_chunk(n: int, k: int, t0: int, t1: int, seed: int,
     for idx, rng in enumerate(_trial_rngs(seed, t0, t1)):
         rng.standard_normal(out=normals[idx])
     split = blocks * n * k
-    return (_from_normals(normals[:, :split], n, k, field),
-            _from_normals(normals[:, split:], n, k - n, field))
+    return (_from_normals(normals[:, :split], (n, k), field),
+            _from_normals(normals[:, split:], (n, k - n), field))
 
 
 def _harness_chunk(n: int, k: int, seed: int, field: str, t0: int,
@@ -731,9 +700,11 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     outcome is reproducible and independent of chunking or thread count.
     Trials run in chunks whose arrays take about HARNESS_CHUNK_BYTES at
     most, so memory does not grow with ``trials``.  The calling thread
-    draws every trial; the chunks' linear algebra runs on up to
-    ``threads`` threads.  The first MAX_COUNTEREXAMPLES violating pairs,
-    in trial order, are kept.
+    draws every chunk and, when ``threads`` is above 1, hands its linear
+    algebra to a pool of ``threads`` threads (at most the CPU count) as
+    soon as it is drawn, holding at most ``threads`` drawn chunks at once.
+    The first MAX_COUNTEREXAMPLES violating pairs, in trial order, are
+    kept.
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
     off-diagonal Gramian energy, the branch the floor argument leaves open.
     For k = n the floor is zero and every trial passes trivially
@@ -745,21 +716,34 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
         raise DomainError("need at least one trial")
     if seed < 0:
         raise DomainError(f"the seed must be >= 0, got {seed}")
-    workers = max(1, int(threads)) if threads else 1
+    workers = _thread_count(threads)
     chunk = min(-(-trials // workers), _chunk_trials(n, k, field))
+
+    def draw(t0: int) -> tuple:
+        return t0, *_draw_chunk(n, k, t0, min(t0 + chunk, trials), seed,
+                                field)
+
     starts = range(0, trials, chunk)
-    parts = []
-    # Only the calling thread draws: a draw releases the GIL at every
-    # call, so drawing threads would trade it trial by trial.  The pool
-    # gets each group's linear algebra, and dropping a group before the
-    # next is drawn holds at most ``workers`` drawn chunks at once.
-    for g in range(0, len(starts), workers):
-        drawn = [(t0, *_draw_chunk(n, k, t0, min(t0 + chunk, trials), seed,
-                                   field)) for t0 in starts[g:g + workers]]
-        parts += _parallel_map(
-            lambda d: _harness_chunk(n, k, seed, field, *d),
-            drawn, workers)
-        del drawn
+    if workers == 1:
+        parts = [_harness_chunk(n, k, seed, field, *draw(t0))
+                 for t0 in starts]
+    else:
+        pool = _worker_pool(workers)
+        parts = []
+        pending = collections.deque()
+        # Only the calling thread draws: a draw releases the GIL at every
+        # call, so drawing threads would trade it trial by trial.  Waiting
+        # for the oldest chunk before drawing the next holds at most
+        # ``workers`` drawn chunks at once; each task pops its chunk from
+        # a one-item list, as the pool keeps a task's arguments a moment
+        # after its result is set.
+        for t0 in starts:
+            if len(pending) == workers:
+                parts.append(pending.popleft().result())
+            pending.append(pool.submit(
+                lambda box: _harness_chunk(n, k, seed, field, *box.pop()),
+                [draw(t0)]))
+        parts += [f.result() for f in pending]
     examples = [ex for p in parts for ex in p["examples"]]
     return HarnessSummary(
         n=n, k=k, trials=trials, seed=seed,

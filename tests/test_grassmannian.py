@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import time
@@ -454,8 +455,25 @@ class TestThreadedFaceProbes:
             np.testing.assert_array_equal(a, b)
 
 
+def _recorded_pool_sizes(monkeypatch, cpus):
+    """Stub the CPU count and record each pool size the library asks for;
+    the pool it gets has at most 2 threads, so a huge count never starts
+    real threads."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sizes = []
+    pool = grassmannian._worker_pool
+
+    def recorded(workers):
+        sizes.append(workers)
+        return pool(min(workers, 2))
+
+    monkeypatch.setattr(grassmannian, "_worker_pool", recorded)
+    return sizes
+
+
 class TestParallelMap:
-    def test_results_keep_input_order_under_contention(self):
+    def test_results_keep_input_order_under_contention(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         items = list(range(2000))
         seen = []
 
@@ -491,13 +509,27 @@ class TestParallelMap:
         assert threading.active_count() == before
         assert grassmannian._worker_pool(2) is grassmannian._worker_pool(2)
 
-    def test_threads_are_capped_by_the_item_count(self):
-        before = threading.active_count()
-        ran_on = grassmannian._parallel_map(
-            lambda _: (time.sleep(0.05), threading.get_ident())[1], range(3),
-            32)
-        assert threading.active_count() - before <= 2
-        assert len(set(ran_on)) <= 3
+    def test_threads_are_capped_by_the_item_count(self, monkeypatch):
+        sizes = _recorded_pool_sizes(monkeypatch, 64)
+        got = grassmannian._parallel_map(lambda i: i * i, range(3), 32)
+        assert got == [0, 1, 4]
+        assert sizes == [3]
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [grassmannian._thread_count(t)
+                for t in (None, 0, -5, 1, 3, 4, 5, 5000)] == \
+            [1, 1, 1, 1, 3, 4, 4, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert grassmannian._thread_count(5000) == 1
+
+    def test_searches_ask_for_no_more_threads_than_cpus(self, monkeypatch):
+        sizes = _recorded_pool_sizes(monkeypatch, 4)
+        frame = make_frame(random_frame_matrix(np.random.default_rng(0), 3, 6,
+                                               "real"))
+        want = _search_outcome(frame, None)
+        _assert_same_search(_search_outcome(frame, 1000), want)
+        assert sizes == [4]
 
     def test_inline_runs_on_the_calling_thread(self):
         caller = threading.get_ident()
@@ -765,6 +797,40 @@ class TestHarness:
         whole = conjecture_harness(2, 3, 400, seed=0)
         _assert_same_outcome(summary, whole.violations, whole.case_a_count,
                              whole.min_ratio, whole.counterexamples)
+
+    def test_harness_asks_for_no_more_threads_than_cpus(self, monkeypatch):
+        sizes = _recorded_pool_sizes(monkeypatch, 4)
+        summary = conjecture_harness(2, 3, 5000, 0, threads=5000)
+        assert sizes and set(sizes) == {4}
+        monkeypatch.undo()
+        whole = conjecture_harness(2, 3, 5000, 0)
+        _assert_same_outcome(summary, whole.violations, whole.case_a_count,
+                             whole.min_ratio, whole.counterexamples)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_earliest_chunk_error_is_raised(self, monkeypatch, threads):
+        # Chunks 3 and 4 fail.  With two threads chunk 3 waits until
+        # chunk 4 has failed, and chunk 3's error must still be the one
+        # raised.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(grassmannian, "HARNESS_CHUNK_BYTES", 4000)
+        chunk = grassmannian._chunk_trials(2, 3, "real")
+        harness_chunk = grassmannian._harness_chunk
+        later_failed = threading.Event()
+
+        def failing(n, k, seed, field, t0, *drawn):
+            if t0 == 4 * chunk:
+                later_failed.set()
+            elif t0 == 3 * chunk:
+                later_failed.wait(10 if threads > 1 else 0)
+            else:
+                return harness_chunk(n, k, seed, field, t0, *drawn)
+            raise ValueError(f"chunk {t0}")
+
+        monkeypatch.setattr(grassmannian, "_harness_chunk", failing)
+        with pytest.raises(ValueError, match=f"^chunk {3 * chunk}$"):
+            conjecture_harness(2, 3, 400, seed=0, threads=threads)
+        assert later_failed.is_set() == (threads > 1)
 
     def test_negative_seed_is_refused_before_any_trial(self, monkeypatch):
         def no_work(*args, **kwargs):
