@@ -119,26 +119,21 @@ def make_frame(matrix) -> Frame:
     Raises
     ------
     ShapeError
-        If the matrix is not 2-D or has fewer columns than rows.
+        If the matrix is not 2-D, has no rows or has fewer columns than rows.
     DomainError
         If n * sigma_max^4, which bounds every potential of the frame, is
         not a finite float.
     NotAFrame
         If the columns do not span, judged against RANK_RTOL * sigma_max.
     """
-    m = _coerce_matrix(matrix)
-    if m.ndim != 2 or m.shape[0] < 1:
-        raise ShapeError("expected a non-empty 2-D matrix")
-    n, k = m.shape
-    if k < n:
-        raise ShapeError(f"fewer vectors ({k}) than dimensions ({n})")
-    sigma = np.linalg.svd(m, compute_uv=False)
+    frame = Frame(matrix)
+    sigma = np.linalg.svd(frame.synthesis, compute_uv=False)
     with np.errstate(over="ignore"):
-        if not np.isfinite(n * sigma[0] ** 4):
+        if not np.isfinite(frame.n * sigma[0] ** 4):
             raise DomainError("entries too large: n * sigma_max^4 overflows")
     if sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]:
         raise NotAFrame("vectors do not span the ambient space")
-    return Frame(m)
+    return frame
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     COMPLEX,
@@ -83,15 +84,13 @@ HARNESS_CHUNK_BYTES = 32 << 20
 # The harness keeps at most this many violating pairs.
 MAX_COUNTEREXAMPLES = 5
 # numpy's SeedSequence constants (pool size, hash-mix and generate_state
-# constants and multipliers, mix multipliers) and PCG64's multiplier, for
-# seeding a chunk's trial generators in one array pass.
+# constants and multipliers, mix multipliers), for seeding a chunk's trial
+# generators in one array pass.
 _SEED_POOL = 4
 _SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
 _SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -594,29 +593,24 @@ def _trial_seed_words(seed: int, t0: int, t1: int) -> np.ndarray:
     return out
 
 
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state words are already computed: one row of
+    :func:`_trial_seed_words`, the 4 uint64 words PCG64 asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
+
+
 def _trial_rngs(seed: int, t0: int, t1: int):
     """Yield, for each trial t in [t0, t1), a generator in the state that
-    ``np.random.default_rng((seed, t))`` starts in: one Generator, created
-    for trial t0 and reset for each later trial."""
-    rng = np.random.default_rng((seed, t0))
-    yield rng
-    bit_generator = rng.bit_generator
-    # One state dict, refilled per trial.  PCG64's state setter requires
-    # has_uint32 and uinteger and applies them at every reset; a Gaussian
-    # draw never buffers a 32-bit half-word, so both stay 0.
-    pcg = {}
-    full = {"bit_generator": "PCG64", "state": pcg,
-            "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in _trial_seed_words(seed, t0 + 1,
-                                                    t1).tolist():
-        # PCG64's seeding: inc from the last two words, then two steps of
-        # the LCG around adding the first two.
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
-                        + inc) & _MASK128
-        pcg["inc"] = inc
-        bit_generator.state = full
-        yield rng
+    ``np.random.default_rng((seed, t))`` starts in; trials after t0 take
+    their seed words from one :func:`_trial_seed_words` pass."""
+    yield np.random.default_rng((seed, t0))
+    for words in _trial_seed_words(seed, t0 + 1, t1):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _chunk_trials(n: int, k: int, field: str) -> int:

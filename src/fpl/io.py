@@ -111,10 +111,9 @@ def _load_json(path) -> dict:
 
 def frame_from_payload(payload: dict) -> Frame:
     fld = _payload_field(payload)
-    try:
-        n, k = int(payload["n"]), int(payload["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrameFileError('frame file needs integer "n" and "k"') from exc
+    n, k = payload.get("n"), payload.get("k")
+    if type(n) is not int or type(k) is not int:
+        raise FrameFileError('frame file needs integer "n" and "k"')
     columns = payload.get("vectors")
     matrix = _parse_columns(columns, n, fld, "vectors")
     if matrix.shape != (n, k):
@@ -165,10 +164,9 @@ def save_frame(frame: Frame, path) -> None:
 
 def fusion_from_payload(payload: dict, source: str = "fusion data") -> FusionFrame:
     fld = _payload_field(payload)
-    try:
-        n = int(payload["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrameFileError('fusion file needs an integer "n"') from exc
+    n = payload.get("n")
+    if type(n) is not int:
+        raise FrameFileError('fusion file needs an integer "n"')
     subs = payload.get("subspaces")
     if not isinstance(subs, list) or not subs:
         raise FrameFileError('fusion file needs a non-empty "subspaces" list')

@@ -634,6 +634,22 @@ class TestDiagnosticsAndExitCodes:
         assert err.startswith("error: FrameFileError:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb,flag,rest", [
+        ("potential", "--frame",
+         '"k": 3, "vectors": [[0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]'),
+        ("fusion", "--fusion", '"subspaces": [{"basis": [[1.0, 0.0]]}]')],
+        ids=["potential", "fusion"])
+    @pytest.mark.parametrize("value", ["1e400", "true", "2.9", '"2"'])
+    def test_header_counts_that_are_not_integers(self, capsys, tmp_path,
+                                                 verb, flag, rest, value):
+        bad = tmp_path / "odd.json"
+        bad.write_text(f'{{"field": "real", "n": {value}, {rest}}}')
+        code, out, err = invoke(capsys, verb, flag, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: FrameFileError:")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000])
     def test_undecodable_files(self, capsys, tmp_path, content):

@@ -19,7 +19,7 @@ from fpl.grassmannian import (
     minimize_mu,
     minmax_problem,
 )
-from fpl.potentials import max_offdiagonal, welch_constant
+from fpl.potentials import frame_potential, max_offdiagonal, welch_constant
 
 from conftest import random_frame_matrix
 
@@ -240,6 +240,48 @@ class TestMinimizeMuComplex:
         result = minimize_mu(f)
         direct = max_offdiagonal(cross_gramian(f, result.minimizer_dual))
         assert result.mu_min == pytest.approx(direct, abs=1e-9)
+
+
+def _symmetries(m, rng):
+    """The frame under an orthogonal U, a column permutation, column sign
+    flips and two scales, with each one's frame potential factor."""
+    n, k = m.shape
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    signs = rng.choice([-1.0, 1.0], size=k)
+    return [("rotation", u @ m, 1.0),
+            ("permutation", m[:, rng.permutation(k)], 1.0),
+            ("sign flips", m * signs, 1.0),
+            ("scale 3.5", 3.5 * m, 3.5 ** 4),
+            ("scale 0.25", 0.25 * m, 0.25 ** 4)]
+
+
+class TestInvariance:
+    """mu_min and the frame potential under the symmetries of the paper's
+    quantities: a unitary, a permutation or sign flips of the vectors, and
+    a scale a > 0, under which the potential scales as a^4."""
+
+    # Frames default_rng((2205, n, i)).standard_normal((n, k)); at k = 2n
+    # these are corpus frames, of which 4x8 #0 and 6x12 #5 have no unique
+    # minimiser and 4x8 #4 has one.
+    FRAMES = [(2, 3, 1), (3, 5, 2), (4, 8, 0), (4, 8, 4), (6, 12, 5)]
+
+    @pytest.mark.parametrize("n,k,i", FRAMES)
+    def test_mu_min_is_unchanged(self, n, k, i):
+        m = random_frame_matrix(np.random.default_rng((2205, n, i)), n, k,
+                                "real")
+        want = minimize_mu(make_frame(m)).mu_min
+        for name, moved, _ in _symmetries(m, np.random.default_rng(i)):
+            got = minimize_mu(make_frame(moved)).mu_min
+            assert got == pytest.approx(want, abs=1e-9), name
+
+    @pytest.mark.parametrize("n,k,i", FRAMES)
+    def test_frame_potential_is_invariant_up_to_scale(self, n, k, i):
+        m = random_frame_matrix(np.random.default_rng((2205, n, i)), n, k,
+                                "real")
+        want = frame_potential(make_frame(m))
+        for name, moved, factor in _symmetries(m, np.random.default_rng(i)):
+            got = frame_potential(make_frame(moved))
+            assert got == pytest.approx(factor * want, rel=1e-12), name
 
 
 class TestSquareFrames:

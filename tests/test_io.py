@@ -92,6 +92,14 @@ class TestFramePayloadErrors:
         with pytest.raises(FrameFileError):
             frame_from_payload(self.payload(k=3))
 
+    @pytest.mark.parametrize("key", ["n", "k"])
+    @pytest.mark.parametrize("value", [1e400, True, 2.9, 2.0, "2", None])
+    def test_rejects_header_counts_that_are_not_json_integers(self, key,
+                                                              value):
+        with pytest.raises(FrameFileError,
+                           match='frame file needs integer "n" and "k"'):
+            frame_from_payload(self.payload(**{key: value}))
+
     def test_rejects_ragged_columns(self):
         with pytest.raises(FrameFileError):
             frame_from_payload(self.payload(vectors=[[1.0, 0.0], [0.0]]))
@@ -375,6 +383,13 @@ class TestFusionRoundtrip:
     def test_rejects_missing_subspaces(self):
         with pytest.raises(FrameFileError):
             fusion_from_payload({"field": "real", "n": 2, "subspaces": []})
+
+    @pytest.mark.parametrize("value", [1e400, True, 2.9, 2.0, "2", None])
+    def test_rejects_a_dimension_that_is_not_a_json_integer(self, value):
+        with pytest.raises(FrameFileError,
+                           match='fusion file needs an integer "n"'):
+            fusion_from_payload({"field": "real", "n": value,
+                                 "subspaces": [{"basis": [[1.0, 0.0]]}]})
 
     def test_rejects_subspace_without_basis(self):
         with pytest.raises(FrameFileError):
