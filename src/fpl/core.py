@@ -90,7 +90,8 @@ class Frame:
             raise ShapeError("a frame needs at least one dimension")
         if k < n:
             raise ShapeError(f"fewer vectors ({k}) than dimensions ({n})")
-        object.__setattr__(self, "synthesis", _freeze(m))
+        m.setflags(write=False)  # _coerce_matrix's astype copied it
+        object.__setattr__(self, "synthesis", m)
 
     @property
     def n(self) -> int:

@@ -40,7 +40,8 @@ class Subspace:
         if float(np.max(np.abs(gram - np.eye(b.shape[1])))) > 1e-8:
             raise ShapeError(
                 "basis is not orthonormal; build through subspace()")
-        object.__setattr__(self, "basis", _freeze(b))
+        b.setflags(write=False)  # _coerce_matrix's astype copied it
+        object.__setattr__(self, "basis", b)
 
     @property
     def n(self) -> int:

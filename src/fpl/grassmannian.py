@@ -28,14 +28,13 @@ over the near-optimal face: 8 drawn from the caller's seed, then 16 from
 they form one cluster and no flat direction at it keeps mu at its minimum.
 :func:`exclusivity_probe` reads that verdict.
 
-The face probes are independent LPs.  ``threads`` runs them on a pool of
-that many threads, at most one per CPU, shared with the harness; every
-objective is drawn before any probe runs and results are kept in input
-order, so the outcome does not depend on ``threads``.
+The face probes are independent LPs, as are the harness's drawn chunks;
+:func:`_parallel_map` runs both, on up to ``threads`` threads (at most one
+per CPU).  Probe objectives and chunks are drawn on the calling thread in
+order and results are kept in input order, so ``threads`` changes nothing.
 """
 from __future__ import annotations
 
-import collections
 import concurrent.futures
 import functools
 import os
@@ -169,18 +168,32 @@ def _worker_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
 
 
 def _parallel_map(fn, items, threads: int | None) -> list:
-    """``[fn(x) for x in items]`` on ``min(threads, len(items))`` pool
-    threads, ``threads`` capped by :func:`_thread_count`; inline on the
-    calling thread when that is 1.
+    """``[fn(x) for x in items]`` on up to ``threads`` pool threads, capped
+    by :func:`_thread_count`; inline on the calling thread when that is 1.
 
-    Results come back in input order, and the error of the earliest
-    failing item is raised, as the inline loop would raise it.
+    The calling thread takes each item and submits it; while every thread
+    is busy it waits for any item to finish, so a freed thread is refilled
+    at once and at most one taken item per thread is alive.  A failure
+    seen in that wait stops the taking.  A task pops its item from a
+    one-item list, as the pool keeps a task's arguments after its result
+    is set.  Results keep input order; the earliest failing item's error
+    is raised.
     """
-    items = list(items)
-    workers = min(_thread_count(threads), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    return list(_worker_pool(workers).map(fn, items))
+    workers = _thread_count(threads)
+    if workers == 1:
+        return list(map(fn, items))
+    pool = _worker_pool(workers)
+    futures, running = [], set()
+    # Boxed as taken: a loop variable would keep the last item alive.
+    for box in map(lambda x: [x], items):
+        futures.append(pool.submit(lambda b: fn(b.pop()), box))
+        running.add(futures[-1])
+        if len(running) == workers:
+            done, running = concurrent.futures.wait(
+                running, return_when=concurrent.futures.FIRST_COMPLETED)
+            if any(f.exception() is not None for f in done):
+                break
+    return [f.result() for f in futures]
 
 
 def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -694,9 +707,10 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     outcome is reproducible and independent of chunking or thread count.
     Trials run in chunks whose arrays take about HARNESS_CHUNK_BYTES at
     most, so memory does not grow with ``trials``.  The calling thread
-    draws every chunk and, when ``threads`` is above 1, hands its linear
-    algebra to a pool of ``threads`` threads (at most the CPU count) as
-    soon as it is drawn, holding at most ``threads`` drawn chunks at once.
+    draws every chunk and :func:`_parallel_map` runs its linear algebra,
+    on a pool of ``threads`` threads (at most the CPU count) when that is
+    above 1, refilling a thread as soon as its chunk is done; at most
+    ``threads`` drawn chunks are alive at once.
     The first MAX_COUNTEREXAMPLES violating pairs, in trial order, are
     kept.
     ``case_a_count`` tallies trials where n exceeds n^2/k plus the total
@@ -713,31 +727,13 @@ def conjecture_harness(n: int, k: int, trials: int, seed: int, *,
     workers = _thread_count(threads)
     chunk = min(-(-trials // workers), _chunk_trials(n, k, field))
 
-    def draw(t0: int) -> tuple:
-        return t0, *_draw_chunk(n, k, t0, min(t0 + chunk, trials), seed,
-                                field)
-
-    starts = range(0, trials, chunk)
-    if workers == 1:
-        parts = [_harness_chunk(n, k, seed, field, *draw(t0))
-                 for t0 in starts]
-    else:
-        pool = _worker_pool(workers)
-        parts = []
-        pending = collections.deque()
-        # Only the calling thread draws: a draw releases the GIL at every
-        # call, so drawing threads would trade it trial by trial.  Waiting
-        # for the oldest chunk before drawing the next holds at most
-        # ``workers`` drawn chunks at once; each task pops its chunk from
-        # a one-item list, as the pool keeps a task's arguments a moment
-        # after its result is set.
-        for t0 in starts:
-            if len(pending) == workers:
-                parts.append(pending.popleft().result())
-            pending.append(pool.submit(
-                lambda box: _harness_chunk(n, k, seed, field, *box.pop()),
-                [draw(t0)]))
-        parts += [f.result() for f in pending]
+    # Only the calling thread draws: a draw releases the GIL at every
+    # call, so drawing threads would trade it trial by trial.
+    drawn = ((t0, *_draw_chunk(n, k, t0, min(t0 + chunk, trials), seed,
+                               field))
+             for t0 in range(0, trials, chunk))
+    parts = _parallel_map(lambda c: _harness_chunk(n, k, seed, field, *c),
+                          drawn, workers)
     examples = [ex for p in parts for ex in p["examples"]]
     return HarnessSummary(
         n=n, k=k, trials=trials, seed=seed,

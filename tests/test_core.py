@@ -30,6 +30,7 @@ from fpl.errors import (
 )
 
 import fpl
+from fpl.fusion import Subspace
 from fpl.potentials import frame_potential
 from conftest import random_frame_matrix
 
@@ -58,6 +59,17 @@ class TestConstruction:
     def test_synthesis_is_frozen(self, trident):
         with pytest.raises(ValueError):
             trident.synthesis[0, 0] = 7.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+    def test_frame_and_subspace_hold_a_read_only_copy(self, dtype):
+        # Input already of the stored dtype must be copied too.
+        frame_in = np.array([[0, 1, -1], [1, 1, 1]], dtype=dtype)
+        basis_in = np.array([[1, 0], [0, 1], [0, 0]], dtype=dtype)
+        for given, held in ((frame_in, Frame(frame_in).synthesis),
+                            (basis_in, Subspace(basis_in).basis)):
+            np.testing.assert_array_equal(held, given)
+            assert not np.shares_memory(held, given)
+            assert not held.flags.writeable
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ShapeError):

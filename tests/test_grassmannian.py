@@ -1,8 +1,10 @@
+import concurrent.futures
 import os
 import sys
 import threading
 import time
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,7 +260,9 @@ def _symmetries(m, rng):
 class TestInvariance:
     """mu_min and the frame potential under the symmetries of the paper's
     quantities: a unitary, a permutation or sign flips of the vectors, and
-    a scale a > 0, under which the potential scales as a^4."""
+    a scale a > 0, under which the potential scales as a^4.  mu_min is
+    also unchanged by any invertible A, as (A F, A^-* G) has the
+    cross-Gramian of (F, G); the frame potential is not."""
 
     # Frames default_rng((2205, n, i)).standard_normal((n, k)); at k = 2n
     # these are corpus frames, of which 4x8 #0 and 6x12 #5 have no unique
@@ -270,7 +274,10 @@ class TestInvariance:
         m = random_frame_matrix(np.random.default_rng((2205, n, i)), n, k,
                                 "real")
         want = minimize_mu(make_frame(m)).mu_min
-        for name, moved, _ in _symmetries(m, np.random.default_rng(i)):
+        a = np.random.default_rng((i, n)).standard_normal((n, n))
+        moves = _symmetries(m, np.random.default_rng(i))
+        moves.append(("GL(n)", a @ m, None))
+        for name, moved, _ in moves:
             got = minimize_mu(make_frame(moved)).mu_min
             assert got == pytest.approx(want, abs=1e-9), name
 
@@ -552,10 +559,39 @@ class TestParallelMap:
         assert grassmannian._worker_pool(2) is grassmannian._worker_pool(2)
 
     def test_threads_are_capped_by_the_item_count(self, monkeypatch):
-        sizes = _recorded_pool_sizes(monkeypatch, 64)
+        # A pool of 32 threads starts one per submitted item at most.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        pools = []
+
+        def fresh_pool(workers):
+            pools.append(concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="capped"))
+            return pools[-1]
+
+        monkeypatch.setattr(grassmannian, "_worker_pool", fresh_pool)
         got = grassmannian._parallel_map(lambda i: i * i, range(3), 32)
+        started = [t for t in threading.enumerate()
+                   if t.name.startswith("capped")]
+        pools[0].shutdown()
         assert got == [0, 1, 4]
-        assert sizes == [3]
+        assert len(pools) == 1
+        assert 1 <= len(started) <= 3
+
+    def test_a_free_thread_is_refilled_before_the_oldest_item_ends(
+            self, monkeypatch):
+        # Item 0 runs until item 2 has run; waiting for the oldest item
+        # before taking the next would leave item 2 untaken.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ran_2 = threading.Event()
+
+        def work(i):
+            if i == 0:
+                return ran_2.wait(10)
+            if i == 2:
+                ran_2.set()
+            return True
+
+        assert grassmannian._parallel_map(work, range(4), 2) == [True] * 4
 
     def test_thread_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -903,3 +939,40 @@ class TestFloorCounterexample:
         mu = max_offdiagonal(gram)
         assert mu == pytest.approx(0.25, abs=1e-12)
         assert mu < welch_constant(2, 3) - 1e-2
+
+
+class TestGeneralFrameFloor:
+    """The floor fails for general frames at every shape: F = [-eps B | I_n]
+    has the dual G = [0 | I_n], and F* G = [[0, -eps B*], [0, I_n]], so
+    mu(F, G) = eps max|B|, as small as eps makes it."""
+
+    SHAPES = [(2, 3), (2, 4), (3, 5), (4, 8)]
+
+    @staticmethod
+    def _b(n, k):
+        ints = np.random.default_rng((n, k)).integers(-9, 10, (n, k - n))
+        return np.array([[Fraction(int(x), 7) for x in row] for row in ints])
+
+    @pytest.mark.parametrize("n,k", SHAPES)
+    def test_exact_pair_sits_below_the_floor(self, n, k):
+        eps = Fraction(1, 100)
+        b = self._b(n, k)
+        eye = np.identity(n, dtype=int).astype(object)
+        f = np.hstack([-eps * b, eye])
+        g = np.hstack([np.zeros((n, k - n), dtype=int).astype(object), eye])
+        assert (f @ g.T == eye).all()
+        gram = f.T @ g
+        mu_sq = max(x * x for x in gram[~np.eye(k, dtype=bool)])
+        assert mu_sq == eps * eps * max(x * x for x in b.flat) > 0
+        assert mu_sq < Fraction(n * (k - n), k * k * (k - 1))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("n,k", SHAPES)
+    def test_minimize_mu_goes_as_low(self, n, k, eps):
+        b = self._b(n, k).astype(float)
+        f = make_frame(np.hstack([-eps * b, np.eye(n)]))
+        g = make_frame(np.hstack([np.zeros((n, k - n)), np.eye(n)]))
+        assert is_dual(f, g)
+        assert max_offdiagonal(cross_gramian(f, g)) == \
+            pytest.approx(eps * np.max(np.abs(b)), rel=1e-12)
+        assert minimize_mu(f).mu_min <= eps * np.max(np.abs(b)) + 1e-9
