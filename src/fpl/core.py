@@ -25,8 +25,9 @@ from .errors import (
 RANK_RTOL = 1e-10
 # Relative spread (B - A) / B below which a frame counts as tight.
 TIGHT_TOL = 1e-9
-# Max-norm tolerance on F H* - I for duality checks.
+# Max-norm tolerances on F H* - I for duality and on U* U - I for unitarity.
 DUAL_TOL = 1e-9
+UNITARY_TOL = 1e-9
 # eigvalsh's rounding error on S = F F* is about n * eps * lambda_max; a
 # smallest eigenvalue below this many times that has no reliable sign, so
 # canonical_dual counts S as singular.
@@ -159,12 +160,12 @@ def frame_operator(frame: Frame) -> FrameOperator:
                          lower=float(w[0]), upper=float(w[-1]))
 
 
-def is_tight(frame: Frame, tol: float = TIGHT_TOL) -> bool:
-    """True when the optimal frame bounds agree: (B - A) / B <= tol."""
+def is_tight(frame: Frame) -> bool:
+    """True when the optimal frame bounds agree: (B - A) / B <= TIGHT_TOL."""
     op = frame_operator(frame)
     if op.upper <= 0.0:
         return False
-    return (op.upper - op.lower) / op.upper <= tol
+    return (op.upper - op.lower) / op.upper <= TIGHT_TOL
 
 
 def canonical_dual(frame: Frame) -> Frame:
@@ -239,19 +240,19 @@ def analysis_coefficients(frame: Frame, vector) -> np.ndarray:
     return frame.synthesis.T @ np.conj(f)
 
 
-def _unitary(u, n: int, tol: float) -> np.ndarray:
-    """``u`` as an n x n matrix, checked to be unitary within ``tol``."""
+def _unitary(u, n: int) -> np.ndarray:
+    """``u`` as an n x n matrix, checked to be unitary within UNITARY_TOL."""
     um = _coerce_matrix(u)
     if um.shape != (n, n):
         raise ShapeMismatch(f"unitary must be {n} x {n}, got {um.shape}")
-    if float(np.max(np.abs(um.conj().T @ um - np.eye(n)))) > tol:
+    if float(np.max(np.abs(um.conj().T @ um - np.eye(n)))) > UNITARY_TOL:
         raise NotUnitary("matrix is not unitary within tolerance")
     return um
 
 
-def apply_unitary(frame: Frame, u, tol: float = 1e-9) -> Frame:
+def apply_unitary(frame: Frame, u) -> Frame:
     """Rotate the whole frame by a unitary (orthogonal) matrix."""
-    return Frame(_unitary(u, frame.n, tol) @ frame.synthesis)
+    return Frame(_unitary(u, frame.n) @ frame.synthesis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +302,8 @@ class DualFamily:
             return None
         return l
 
-    def random_param(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return scale * _gaussian(rng, self.param_shape, self.frame.field)
+    def random_param(self, rng: np.random.Generator) -> np.ndarray:
+        return _gaussian(rng, self.param_shape, self.frame.field)
 
 
 def dual_family(frame: Frame) -> DualFamily:

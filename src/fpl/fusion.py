@@ -55,7 +55,7 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def orthonormalize(matrix, rtol: float = RANK_RTOL) -> tuple[np.ndarray, float]:
+def orthonormalize(matrix) -> tuple[np.ndarray, float]:
     """Orthonormal basis for the column span, plus how far the input was
     from already being orthonormal (max norm of B* B - I)."""
     m = _coerce_matrix(matrix)
@@ -63,7 +63,7 @@ def orthonormalize(matrix, rtol: float = RANK_RTOL) -> tuple[np.ndarray, float]:
         raise EmptySubspace("a subspace needs at least one basis vector")
     adjustment = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
     if rank < m.shape[1]:
         raise NotAFusionFrame(
             f"subspace basis is rank deficient ({rank} < {m.shape[1]})")
@@ -127,8 +127,8 @@ def make_fusion_frame(bases) -> FusionFrame:
                        lower=lower, upper=upper)
 
 
-def is_tight_fusion(ff: FusionFrame, tol: float = TIGHT_TOL) -> bool:
-    return (ff.upper - ff.lower) / ff.upper <= tol
+def is_tight_fusion(ff: FusionFrame) -> bool:
+    return (ff.upper - ff.lower) / ff.upper <= TIGHT_TOL
 
 
 def fusion_potential(ff: FusionFrame) -> PotentialReport:
@@ -163,14 +163,13 @@ def canonical_dual_fusion(ff: FusionFrame) -> FusionFrame:
     return make_fusion_frame(duals)
 
 
-def intersection_dim(w1: Subspace, w2: Subspace,
-                     rtol: float = RANK_RTOL) -> int:
+def intersection_dim(w1: Subspace, w2: Subspace) -> int:
     """dim(W1 and W2) = d1 + d2 - rank([B1 | B2])."""
     if w1.n != w2.n:
         raise ShapeMismatch("subspaces live in different ambient spaces")
     stacked = np.hstack([w1.basis, w2.basis])
     s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
     return w1.dim + w2.dim - rank
 
 
@@ -182,13 +181,12 @@ def orthogonal_complement(w: Subspace) -> Subspace | None:
     return Subspace(u[:, w.dim:])
 
 
-def is_semi_orthogonal(w1: Subspace, w2: Subspace,
-                       rtol: float = RANK_RTOL) -> bool:
+def is_semi_orthogonal(w1: Subspace, w2: Subspace) -> bool:
     """Nontrivial intersection, and each W_i splits as the intersection
     plus a nontrivial part orthogonal to the other subspace."""
     if w1.n != w2.n:
         raise ShapeMismatch("subspaces live in different ambient spaces")
-    core = intersection_dim(w1, w2, rtol)
+    core = intersection_dim(w1, w2)
     if core < 1:
         return False
     for a, b in ((w1, w2), (w2, w1)):
@@ -196,7 +194,7 @@ def is_semi_orthogonal(w1: Subspace, w2: Subspace,
         if rest < 1:
             return False
         comp = orthogonal_complement(b)
-        if comp is None or intersection_dim(a, comp, rtol) != rest:
+        if comp is None or intersection_dim(a, comp) != rest:
             return False
     return True
 
@@ -266,18 +264,17 @@ def structured_self_dual_check(ff: FusionFrame,
     )
 
 
-def is_orthonormal_fusion_basis(ff: FusionFrame,
-                                tol: float = SUBSPACE_TOL) -> bool:
+def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     """Dimensions summing to n with pairwise orthogonal subspaces."""
     if sum(ff.dims) != ff.n:
         return False
     for i in range(ff.k):
         for j in range(i + 1, ff.k):
-            if not subspaces_orthogonal(ff.subspaces[i], ff.subspaces[j], tol):
+            if not subspaces_orthogonal(ff.subspaces[i], ff.subspaces[j]):
                 return False
     return True
 
 
-def apply_unitary_fusion(ff: FusionFrame, u, tol: float = 1e-9) -> FusionFrame:
-    um = _unitary(u, ff.n, tol)
+def apply_unitary_fusion(ff: FusionFrame, u) -> FusionFrame:
+    um = _unitary(u, ff.n)
     return make_fusion_frame([um @ w.basis for w in ff.subspaces])

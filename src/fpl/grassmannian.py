@@ -46,7 +46,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     COMPLEX,
-    DUAL_TOL,
     RANK_RTOL,
     REAL,
     DualFamily,
@@ -497,10 +496,9 @@ def exclusivity_probe(frame: Frame, result: SearchResult) -> bool:
     return result.exclusive_within_tol
 
 
-def grassmannian_gap(frame: Frame, other: Frame, result: SearchResult,
-                     tol: float = DUAL_TOL) -> float:
+def grassmannian_gap(frame: Frame, other: Frame, result: SearchResult) -> float:
     """mu(Gr(F, H))^2 - mu_min^2, for any dual H; nonnegative up to slack."""
-    if not is_dual(frame, other, tol):
+    if not is_dual(frame, other):
         raise NotADual("the gap is defined for dual pairs only")
     mu = max_offdiagonal(cross_gramian(frame, other))
     return mu * mu - result.mu_min * result.mu_min

@@ -28,6 +28,9 @@ from .errors import DomainError, NotADual
 BOUND_SLACK = 1e-9
 # Diagonal entries within this distance of n/k count as constant-diagonal.
 CONST_DIAG_TOL = 1e-7
+# Largest spreads the co-equipartition and co-equidistribution tests accept.
+CO_EQUIPARTITION_TOL = 1e-9
+CO_EQUIDISTRIBUTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,8 @@ def pth_bound(n: int, k: int, p: float) -> float:
     """Lower bound for the p-th cross potential of a constant-diagonal dual pair.
 
     ((nk - n^2)^p + n^(2p) (k-1)^(p-1)) / (k^(2p-1) (k-1)^(p-1)), p >= 1.
-    Collapses to n at p = 1 and for k = n.
+    Collapses to n at p = 1 and for k = n.  Raises DomainError when this
+    form overflows a float.
     """
     if p < 1:
         raise DomainError("the p-th bound needs p >= 1")
@@ -113,28 +117,33 @@ def pth_bound(n: int, k: int, p: float) -> float:
         raise DomainError("need k >= n >= 1")
     if k == 1:
         return float(n)
-    num = (n * k - n * n) ** p + n ** (2.0 * p) * (k - 1) ** (p - 1.0)
-    den = k ** (2.0 * p - 1.0) * (k - 1) ** (p - 1.0)
-    return float(num / den)
+    try:
+        num = (n * k - n * n) ** p + n ** (2.0 * p) * (k - 1) ** (p - 1.0)
+        den = k ** (2.0 * p - 1.0) * (k - 1) ** (p - 1.0)
+        bound = float(num / den)
+    except OverflowError:
+        bound = np.nan
+    if not np.isfinite(bound):
+        raise DomainError(f"the p-th bound overflows a float at p = {p}")
+    return bound
 
 
-def constant_diagonal(gram: CrossGramian, tol: float = CONST_DIAG_TOL) -> bool:
-    """Whether every Gramian diagonal entry equals n/k within ``tol``.
+def constant_diagonal(gram: CrossGramian) -> bool:
+    """Whether every Gramian diagonal entry equals n/k within CONST_DIAG_TOL.
 
     This is the precondition under which the p-th bound is guaranteed; the
     report helper below surfaces it instead of silently assuming it.
     """
     target = gram.left.n / gram.k
-    return float(np.max(np.abs(gram.diagonal() - target))) <= tol
+    return float(np.max(np.abs(gram.diagonal() - target))) <= CONST_DIAG_TOL
 
 
-def pth_cross_report(gram: CrossGramian, p: float,
-                     diag_tol: float = CONST_DIAG_TOL
-                     ) -> tuple[PotentialReport, bool]:
+def pth_cross_report(gram: CrossGramian,
+                     p: float) -> tuple[PotentialReport, bool]:
     """p-th cross potential with its bound, plus the precondition status."""
     report = _report("pth_cross_potential", pth_cross_potential(gram, p),
                      pth_bound(gram.left.n, gram.k, p))
-    return report, constant_diagonal(gram, diag_tol)
+    return report, constant_diagonal(gram)
 
 
 def welch_constant(n: int, k: int) -> float:
@@ -246,24 +255,24 @@ def _log_profile(gram: CrossGramian, alpha: float) -> np.ndarray:
     return logsumexp(alpha * np.abs(gram.entries) ** 2, axis=0)
 
 
-def is_co_equipartitioned(gram: CrossGramian, alpha: float,
-                          tol: float = 1e-9) -> bool:
-    """Whether the profile components agree: max - min <= tol * max.
+def is_co_equipartitioned(gram: CrossGramian, alpha: float) -> bool:
+    """Whether the profile components agree: max - min <= tol * max for
+    tol = CO_EQUIPARTITION_TOL.
 
     Computed in the log domain so large alpha never overflows.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     lp = _log_profile(gram, alpha)
-    return bool(1.0 - np.exp(lp.min() - lp.max()) <= tol)
+    return bool(1.0 - np.exp(lp.min() - lp.max()) <= CO_EQUIPARTITION_TOL)
 
 
-def is_co_equidistributed(gram: CrossGramian, tol: float = 1e-8) -> bool:
+def is_co_equidistributed(gram: CrossGramian) -> bool:
     """Whether all columns carry the same multiset of entry magnitudes.
 
-    Sorted column magnitudes must agree componentwise within ``tol``; this
-    implies co-equipartition for every alpha.
+    Sorted column magnitudes must agree componentwise within
+    CO_EQUIDISTRIBUTION_TOL; this implies co-equipartition for every alpha.
     """
     mags = np.sort(np.abs(gram.entries), axis=0)
     spread = mags.max(axis=1) - mags.min(axis=1)
-    return bool(spread.max() <= tol)
+    return bool(spread.max() <= CO_EQUIDISTRIBUTION_TOL)

@@ -714,6 +714,15 @@ class TestDiagnosticsAndExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: DomainError: eta must be positive\n"
 
+    def test_p_whose_bound_overflows(self, capsys, paths):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "cross", "--frame", paths["trident"],
+                                    "--other", paths["trident"], "--p", "400")
+        assert (code, out) == (2, "")
+        assert err == ("error: DomainError: the p-th bound overflows a float "
+                       "at p = 400.0\n")
+
     def test_usage_errors(self, capsys):
         assert invoke(capsys, )[0] == 2
         assert invoke(capsys, "potential")[0] == 2

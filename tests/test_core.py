@@ -312,7 +312,7 @@ class TestDualFamily:
         f = make_frame(random_frame_matrix(rng, 2, 6, "complex"))
         family = dual_family(f)
         for _ in range(5):
-            h = family.dual(family.random_param(rng, scale=4.0))
+            h = family.dual(4.0 * family.random_param(rng))
             assert is_dual(f, h)
 
     def test_parameter_roundtrip(self):

@@ -39,7 +39,7 @@ class TestMinMaxProblem:
         problem = minmax_problem(trident)
         rng = np.random.default_rng(1)
         for _ in range(3):
-            params = problem.family.random_param(rng, scale=2.0)
+            params = 2.0 * problem.family.random_param(rng)
             h = problem.family.dual(params)
             gram = cross_gramian(trident, h).entries
             off = gram[~np.eye(3, dtype=bool)]
@@ -97,7 +97,7 @@ class TestMinimizeMuReal:
             result = minimize_mu(f)
             family = dual_family(f)
             for _ in range(20):
-                h = family.dual(family.random_param(rng, scale=3.0))
+                h = family.dual(3.0 * family.random_param(rng))
                 mu = max_offdiagonal(cross_gramian(f, h))
                 assert mu >= result.mu_min - 1e-7
 
@@ -837,16 +837,23 @@ class TestHarness:
             conjecture_harness(2, 3, 0, seed=0)
 
     def test_only_the_calling_thread_draws(self, monkeypatch):
-        # Small chunks give many groups of two; every trial generator must
-        # be advanced on the caller, and no more drawn chunks may be alive
-        # at once than there are threads.
+        # Small chunks give many chunks per thread; every trial generator
+        # must be advanced on the caller, and no more drawn chunks may be
+        # alive at once than there are threads.  Chunk 0 runs until chunk
+        # 2 is drawn, which needs chunk 1 to finish first: a finished
+        # chunk held past its task would then be a third one alive.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(grassmannian, "HARNESS_CHUNK_BYTES", 4000)
+        chunk = grassmannian._chunk_trials(2, 3, "real")
         caller = threading.get_ident()
         draw_threads = set()
         alive = {}
         most_alive = []
+        drew_2 = threading.Event()
+        waited = []
         trial_rngs = grassmannian._trial_rngs
         draw_chunk = grassmannian._draw_chunk
+        harness_chunk = grassmannian._harness_chunk
 
         def recorded_rngs(*args):
             for rng in trial_rngs(*args):
@@ -863,11 +870,20 @@ class TestHarness:
             for part in drawn:
                 weakref.finalize(part, release, t0)
             most_alive.append(sum(1 for v in alive.values() if v))
+            if t0 == 2 * chunk:
+                drew_2.set()
             return drawn
+
+        def slow_first(n, k, seed, field, t0, *drawn):
+            if t0 == 0:
+                waited.append(drew_2.wait(10))
+            return harness_chunk(n, k, seed, field, t0, *drawn)
 
         monkeypatch.setattr(grassmannian, "_trial_rngs", recorded_rngs)
         monkeypatch.setattr(grassmannian, "_draw_chunk", recorded_draw)
+        monkeypatch.setattr(grassmannian, "_harness_chunk", slow_first)
         summary = conjecture_harness(2, 3, 400, seed=0, threads=2)
+        assert waited == [True]
         assert draw_threads == {caller}
         assert len(most_alive) > 2
         assert max(most_alive) == 2
@@ -976,3 +992,22 @@ class TestGeneralFrameFloor:
         assert max_offdiagonal(cross_gramian(f, g)) == \
             pytest.approx(eps * np.max(np.abs(b)), rel=1e-12)
         assert minimize_mu(f).mu_min <= eps * np.max(np.abs(b)) + 1e-9
+
+
+class TestUnitNormFloor:
+    """At k = n + 1 a unit-norm frame has mu_min >= 1/k (README); the
+    regular simplex, whose kernel vector has equal entries, attains it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_regular_simplex_sits_on_the_floor(self, n):
+        k = n + 1
+        centred = np.eye(k) - 1.0 / k
+        u, _, _ = np.linalg.svd(centred)
+        f = u[:, :n].T @ centred
+        f /= np.linalg.norm(f, axis=0)
+        np.testing.assert_allclose(f.sum(axis=1), 0.0, atol=1e-14)
+        frame = make_frame(f)
+        result = minimize_mu(frame)
+        assert welch_constant(n, k) == pytest.approx(1 / k, abs=1e-12)
+        assert result.mu_min == pytest.approx(1 / k, abs=1e-12)
+        assert exclusivity_probe(frame, result)

@@ -84,7 +84,7 @@ class TestCrossPotential:
         family = dual_family(trident)
         rng = np.random.default_rng(2)
         for _ in range(4):
-            params = family.random_param(rng, scale=2.0)
+            params = 2.0 * family.random_param(rng)
             h = family.dual(params)
             lifted = trident.analysis @ params
             expected = 2.0 + np.linalg.norm(lifted) ** 2
@@ -181,6 +181,15 @@ class TestPthPotential:
 
     def test_single_vector_bound_is_the_dimension(self):
         assert pth_bound(1, 1, 3.0) == pytest.approx(1.0)
+
+    def test_a_bound_that_overflows_is_refused(self):
+        # 3 ** (2p - 1) overflows a float from p = 324 on; below that the
+        # bound keeps the value of its direct form.
+        assert pth_bound(2, 3, 300.0) == \
+            (2.0 ** 300 + 2.0 ** 600 * 2.0 ** 299) / (3.0 ** 599 * 2.0 ** 299)
+        for p in (400.0, 1e300):
+            with pytest.raises(DomainError, match="overflows"):
+                pth_bound(2, 3, p)
 
 
 class TestConstantDiagonal:
